@@ -209,12 +209,8 @@ func BenchmarkClientEncodeEncryptBatch8(b *testing.B) {
 
 // benchEvalServer builds the key-gated server surface once for the
 // evaluation benchmarks: Test-preset parties, depth-4 keys with the
-// rotation ladder for an 8-slot inner sum, hybrid gadget (the default).
+// rotation ladder for an 8-slot inner sum.
 func benchEvalServer(b *testing.B) (*Server, *EvaluationKeys, *Ciphertext) {
-	return benchEvalServerGadget(b, GadgetAuto)
-}
-
-func benchEvalServerGadget(b *testing.B, gadget GadgetType) (*Server, *EvaluationKeys, *Ciphertext) {
 	b.Helper()
 	owner, err := NewKeyOwner(Test, 7, 8)
 	if err != nil {
@@ -224,7 +220,6 @@ func benchEvalServerGadget(b *testing.B, gadget GadgetType) (*Server, *Evaluatio
 	evkBytes, err := owner.ExportEvaluationKeys(EvalKeyConfig{
 		MaxLevel:  4,
 		Rotations: InnerSumRotations(8),
-		Gadget:    gadget,
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -302,37 +297,6 @@ func BenchmarkServerRotateMany(b *testing.B) {
 			}
 		}
 	})
-}
-
-// Hybrid vs BV gadget head-to-head on the same circuit — the software
-// version of the bench-check gate's PN15 comparison (which CI runs at
-// paper scale via `abcbench -check`).
-func BenchmarkServerGadgets(b *testing.B) {
-	for _, g := range []struct {
-		name   string
-		gadget GadgetType
-	}{{"hybrid", GadgetHybrid}, {"bv", GadgetBV}} {
-		b.Run("MulRelin/"+g.name, func(b *testing.B) {
-			server, evk, ct := benchEvalServerGadget(b, g.gadget)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := server.Mul(ct, ct, evk); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run("Rotate/"+g.name, func(b *testing.B) {
-			server, evk, ct := benchEvalServerGadget(b, g.gadget)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := server.Rotate(ct, 1, evk); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
 }
 
 func BenchmarkServerInnerSum8(b *testing.B) {

@@ -8,11 +8,14 @@ package abcfhe
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"math/cmplx"
 	"testing"
 
 	"repro/internal/ckks"
+	"repro/internal/prng"
 )
 
 // dotSpan is the vector width the integration tests reduce over.
@@ -460,11 +463,14 @@ func TestEvalKeyBlobMisuse(t *testing.T) {
 		d[i] ^= 0xFF
 		return d
 	}
+	bvEra := append([]byte(nil), good...)
+	bvEra[14] = 0 // gadget byte 0: the retired BV digit gadget
 	cases := map[string][]byte{
 		"empty":            nil,
 		"garbage":          []byte("ABCF with nothing useful behind it"),
 		"different preset": otherBlob,
 		"ntt-tagged":       flip(14 + 4), // domain byte in the sub-header
+		"bv-era gadget":    bvEra,
 		"truncated":        good[:len(good)/2],
 		"padded":           append(append([]byte(nil), good...), 0),
 		"public key blob":  func() []byte { d, _ := owner.ExportPublicKey(); return d }(),
@@ -478,10 +484,82 @@ func TestEvalKeyBlobMisuse(t *testing.T) {
 	// The bootstrap constructor applies the same gates (a different-preset
 	// blob is fine there — it builds its own params — so only structural
 	// damage applies).
-	for _, name := range []string{"empty", "garbage", "ntt-tagged", "truncated", "padded"} {
+	for _, name := range []string{"empty", "garbage", "ntt-tagged", "bv-era gadget", "truncated", "padded"} {
 		if _, _, err := NewServerFromEvaluationKeys(cases[name]); !errors.Is(err, ErrMalformedWire) {
 			t.Errorf("NewServerFromEvaluationKeys(%s): %v", name, err)
 		}
+	}
+}
+
+// TestHybridBlobNeedsSpecialPrimes: a parameter set without special
+// primes (SpecialLimbs = 0 — a client-only spec) cannot host key
+// switching. A server built on one rejects an evaluation-key blob with
+// ErrMalformedWire, never a panic, even when the blob's embedded spec is
+// forged to match; a key owner rebuilt from such a spec's secret-key blob
+// gets ErrGadgetUnsupported from the export.
+func TestHybridBlobNeedsSpecialPrimes(t *testing.T) {
+	owner, err := NewKeyOwner(Test, 0xBEEF, 0xCAFE)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, err := owner.ExportEvaluationKeys(EvalKeyConfig{MaxLevel: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// The Test spec stripped of special primes.
+	bare := ckks.TestParams
+	bare.SpecialLimbs = 0
+	params, err := bare.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := &Server{party: party{params: params, ownsParams: true}}
+	if _, err := srv.ImportEvaluationKeys(blob); !errors.Is(err, ErrMalformedWire) {
+		t.Fatalf("import into a server without special primes: %v", err)
+	}
+	// Forging the spec's specialLimbs byte to 0 must trip the geometry
+	// gates, not a panic.
+	forged := append([]byte(nil), blob...)
+	forged[13] = 0
+	if _, err := srv.ImportEvaluationKeys(forged); !errors.Is(err, ErrMalformedWire) {
+		t.Fatalf("import of a forged-spec blob: %v", err)
+	}
+
+	seed := prng.SeedFromUint64s(0xBEEF, 0xCAFE)
+	skBlob, err := params.MarshalSecretKey(ckks.NewKeyGenerator(params, seed).GenSecretKey(), seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bareOwner, err := NewKeyOwnerFromSecretKey(skBlob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer bareOwner.Close()
+	if _, err := bareOwner.ExportEvaluationKeys(EvalKeyConfig{MaxLevel: 2}); !errors.Is(err, ErrGadgetUnsupported) {
+		t.Fatalf("export from a spec without special primes: %v", err)
+	}
+}
+
+// TestEvalKeyBlobBytesPinned fixes the exact bytes of a Test-preset
+// evaluation-key blob (relinearization, rotations {1, 2}, conjugation,
+// full depth) from a fixed owner seed. Any change to the sampling stream
+// bases, the key layout or the wire packing moves the digest — such a
+// change breaks every blob already deployed and must be deliberate.
+func TestEvalKeyBlobBytesPinned(t *testing.T) {
+	const want = "be77ed0218817c02f86de08224ca85a7864d9c8ec21d695e2e9d96fa634a3d88"
+	owner, err := NewKeyOwner(Test, 0x0123456789abcdef, 0xfedcba9876543210)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer owner.Close()
+	blob, err := owner.ExportEvaluationKeys(EvalKeyConfig{Rotations: []int{1, 2}, Conjugate: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(blob)
+	if got := hex.EncodeToString(sum[:]); got != want {
+		t.Fatalf("evaluation-key blob (%d bytes) digest %s, want %s", len(blob), got, want)
 	}
 }
 

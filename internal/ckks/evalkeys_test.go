@@ -3,32 +3,39 @@ package ckks
 import (
 	"bytes"
 	"math/cmplx"
+	"os"
+	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 )
 
-func testEvalKeySet(t testing.TB, maxLevel int, steps []int, conj bool, gadget Gadget) (*EvaluationKeySet, *SecretKey, *PublicKey) {
+func testEvalKeySet(t testing.TB, maxLevel int, steps []int, conj bool) (*EvaluationKeySet, *SecretKey, *PublicKey) {
 	t.Helper()
 	kg := NewKeyGenerator(testParams, testSeed())
 	sk, pk := kg.GenKeyPair()
-	return kg.GenEvaluationKeySet(sk, maxLevel, steps, conj, gadget), sk, pk
+	return kg.GenEvaluationKeySet(sk, maxLevel, steps, conj), sk, pk
 }
 
-// TestEvalKeySetRoundTrip pins the wire format for both gadgets:
+// TestEvalKeySetRoundTrip pins the wire format at a depth with a short
+// last decomposition group (3 limbs, α = 2) and at full depth:
 // marshal→unmarshal→marshal is byte-identical, the round-tripped keys are
 // poly-equal to the originals (the coefficient-domain wire pass is exact),
 // and generation is deterministic from the seed (canonical re-export).
 func TestEvalKeySetRoundTrip(t *testing.T) {
 	p := testParams
-	for _, gadget := range []Gadget{GadgetBV, GadgetHybrid} {
-		t.Run(gadget.String(), func(t *testing.T) {
-			ks, _, _ := testEvalKeySet(t, 3, []int{1, 2, 2, -1 /* dup + negative */}, true, gadget)
+	for _, tc := range []struct {
+		name  string
+		depth int
+	}{{"hybrid", 3}, {"hybrid-full-depth", p.MaxLevel()}} {
+		t.Run(tc.name, func(t *testing.T) {
+			ks, _, _ := testEvalKeySet(t, tc.depth, []int{1, 2, 2, -1 /* dup + negative */}, true)
 
 			data, err := p.MarshalEvaluationKeySet(ks)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if want := p.EvaluationKeyWireBytes(3, len(ks.Rot), true, gadget); len(data) != want {
+			if want := p.EvaluationKeyWireBytes(tc.depth, len(ks.Rot), true); len(data) != want {
 				t.Fatalf("blob is %d bytes, EvaluationKeyWireBytes says %d", len(data), want)
 			}
 
@@ -46,7 +53,7 @@ func TestEvalKeySetRoundTrip(t *testing.T) {
 
 			// Deterministic regeneration: a second key set from the same
 			// seed marshals identically.
-			ks2, _, _ := testEvalKeySet(t, 3, []int{-1, 1, 2}, true, gadget)
+			ks2, _, _ := testEvalKeySet(t, tc.depth, []int{-1, 1, 2}, true)
 			data2, err := p.MarshalEvaluationKeySet(ks2)
 			if err != nil {
 				t.Fatal(err)
@@ -57,27 +64,15 @@ func TestEvalKeySetRoundTrip(t *testing.T) {
 
 			// Poly-level equality of a sample: the relin key survives the
 			// coefficient-domain wire pass exactly.
-			if gadget == GadgetHybrid {
-				rqp := p.RingQPAt(3)
-				for j := range ks.Rlk.K.H0 {
-					if !rqp.Equal(ks.Rlk.K.H0[j], back.Rlk.K.H0[j]) ||
-						!rqp.Equal(ks.Rlk.K.H1[j], back.Rlk.K.H1[j]) {
-						t.Fatal("relinearization key changed across the wire")
-					}
-				}
-			} else {
-				r := p.RingAt(3)
-				for i := range ks.Rlk.K.K0 {
-					for tt := range ks.Rlk.K.K0[i] {
-						if !r.Equal(ks.Rlk.K.K0[i][tt], back.Rlk.K.K0[i][tt]) ||
-							!r.Equal(ks.Rlk.K.K1[i][tt], back.Rlk.K.K1[i][tt]) {
-							t.Fatal("relinearization key changed across the wire")
-						}
-					}
+			rqp := p.RingQPAt(tc.depth)
+			for j := range ks.Rlk.K.H0 {
+				if !rqp.Equal(ks.Rlk.K.H0[j], back.Rlk.K.H0[j]) ||
+					!rqp.Equal(ks.Rlk.K.H1[j], back.Rlk.K.H1[j]) {
+					t.Fatal("relinearization key changed across the wire")
 				}
 			}
 			// Geometry: steps normalized (−1 ≡ Slots−1), dup dropped, conj
-			// present, gadget preserved.
+			// and depth present.
 			wantSteps := map[int]bool{1: true, 2: true, p.Slots() - 1: true}
 			if len(back.Rot) != len(wantSteps) {
 				t.Fatalf("rotation steps %v", back.Steps())
@@ -87,27 +82,10 @@ func TestEvalKeySetRoundTrip(t *testing.T) {
 					t.Fatalf("missing step %d (have %v)", s, back.Steps())
 				}
 			}
-			if back.Conj == nil || back.MaxLevel != 3 {
+			if back.Conj == nil || back.MaxLevel != tc.depth {
 				t.Fatal("conjugation key or depth lost")
 			}
-			if back.Gadget != gadget {
-				t.Fatalf("gadget %v lost across the wire (got %v)", gadget, back.Gadget)
-			}
 		})
-	}
-}
-
-// TestHybridBlobSmallerThanBV pins the key-size win the hybrid gadget
-// exists for: for the same depth and rotation set, the hybrid blob is
-// strictly smaller (at the Test parameters by ~α·T/(1+α/D) ≈ 6–7×; more
-// at the paper chains).
-func TestHybridBlobSmallerThanBV(t *testing.T) {
-	p := testParams
-	d := p.MaxLevel()
-	bv := p.EvaluationKeyWireBytes(d, 3, true, GadgetBV)
-	hy := p.EvaluationKeyWireBytes(d, 3, true, GadgetHybrid)
-	if hy >= bv {
-		t.Fatalf("hybrid blob %d bytes not smaller than BV %d", hy, bv)
 	}
 }
 
@@ -117,7 +95,7 @@ func TestDepthCappedMulRelin(t *testing.T) {
 	p := testParams
 	kg := NewKeyGenerator(p, testSeed())
 	sk, pk := kg.GenKeyPair()
-	rlk := kg.GenRelinearizationKeyAt(sk, 2)
+	rlk := kg.GenRelinearizationKeyHybridAt(2)
 	enc := NewEncoder(p)
 	encryptor := NewEncryptor(p, pk, testSeed())
 	dec := NewDecryptor(p, sk)
@@ -171,7 +149,7 @@ func TestRotateHoistedMatchesSequential(t *testing.T) {
 	steps := []int{1, 2, 5}
 	rks := make([]*RotationKey, len(steps))
 	for i, k := range steps {
-		rks[i] = kg.GenRotationKey(sk, p.GaloisElement(k))
+		rks[i] = kg.GenRotationKeyHybridAt(p.GaloisElement(k), p.MaxLevel())
 	}
 
 	hoisted := ev.RotateHoisted(ct, rks)
@@ -193,17 +171,13 @@ func TestRotateHoistedMatchesSequential(t *testing.T) {
 }
 
 // TestEvalKeyInfoRejects drives the sub-header validation: forged domain
-// byte (NTT-tagged), unknown flags, bad digit counts, out-of-range depth,
-// non-ascending steps, truncations — errors, never panics.
+// byte (NTT-tagged), unknown flags, bad group sizes, out-of-range depth,
+// non-ascending steps, truncations, and the retired BV gadget byte —
+// errors, never panics.
 func TestEvalKeyInfoRejects(t *testing.T) {
 	p := testParams
-	ks, _, _ := testEvalKeySet(t, 2, []int{1}, false, GadgetBV)
+	ks, _, _ := testEvalKeySet(t, 2, []int{1}, false)
 	data, err := p.MarshalEvaluationKeySet(ks)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hybridKs, _, _ := testEvalKeySet(t, 2, []int{1}, false, GadgetHybrid)
-	hybridData, err := p.MarshalEvaluationKeySet(hybridKs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,11 +188,12 @@ func TestEvalKeyInfoRejects(t *testing.T) {
 		d[i] = v
 		return d
 	}
-	mutH := func(i int, v byte) []byte {
-		d := append([]byte(nil), hybridData...)
-		d[i] = v
-		return d
-	}
+	// The checked-in BV-era fuzz seeds (blobs from the retired digit
+	// gadget) stay rejection inputs, and so does the intact one re-tagged
+	// as hybrid: the gadget byte passes, the geometry does not.
+	bvSeed := func(name string) []byte { return readFuzzSeed(t, "FuzzUnmarshalEvaluationKeys", name) }
+	bvClaimedHybrid := bvSeed("seed-evk-bv")
+	bvClaimedHybrid[off] = byte(GadgetHybrid)
 	cases := map[string][]byte{
 		"unknown gadget":       mut(off, 7),
 		"ntt-tagged payload":   mut(off+4, 1),
@@ -231,13 +206,23 @@ func TestEvalKeyInfoRejects(t *testing.T) {
 		"truncated":            data[:len(data)-5],
 		"padded":               append(append([]byte(nil), data...), 0),
 		"wrong kind":           mut(5, 'P'),
-		"hybrid alpha forged":  mutH(off+1, byte(p.SpecialLimbs+1)),
-		"hybrid claimed as bv": mutH(off, byte(GadgetBV)),
-		"bv claimed as hybrid": mut(off, byte(GadgetHybrid)),
+		"hybrid alpha forged":  mut(off+1, byte(p.SpecialLimbs+1)),
+		"hybrid claimed as bv": mut(off, 0),
+		"bv claimed as hybrid": bvClaimedHybrid,
+		"bv seed":              bvSeed("seed-evk-bv"),
+		"bv seed flipped":      bvSeed("seed-evk-bv-flip"),
+		"bv seed truncated":    bvSeed("seed-evk-bv-trunc"),
 	}
 	for name, d := range cases {
 		if _, err := p.UnmarshalEvaluationKeySet(d); err == nil {
 			t.Errorf("%s: accepted", name)
+		}
+	}
+	// The header parser alone already refuses gadget byte 0 — the gate
+	// serve admission and the public importers run before any payload.
+	for _, name := range []string{"hybrid claimed as bv", "bv seed"} {
+		if _, _, err := ReadEvalKeyInfo(cases[name]); err == nil || !strings.Contains(err.Error(), "gadget") {
+			t.Errorf("ReadEvalKeyInfo(%s): %v", name, err)
 		}
 	}
 
@@ -253,7 +238,7 @@ func TestEvalKeyInfoRejects(t *testing.T) {
 	tiny := TinyParams.MustBuild()
 	kgT := NewKeyGenerator(tiny, testSeed())
 	skT := kgT.GenSecretKey()
-	ksT := kgT.GenEvaluationKeySet(skT, 2, []int{1}, false, GadgetBV)
+	ksT := kgT.GenEvaluationKeySet(skT, 2, []int{1}, false)
 	dataT, err := tiny.MarshalEvaluationKeySet(ksT)
 	if err != nil {
 		t.Fatal(err)
@@ -261,4 +246,27 @@ func TestEvalKeyInfoRejects(t *testing.T) {
 	if _, err := p.UnmarshalEvaluationKeySet(dataT); err == nil {
 		t.Error("accepted an evaluation-key blob from different parameters")
 	}
+}
+
+// readFuzzSeed loads a single-[]byte entry of a checked-in fuzz corpus
+// (testdata/fuzz/<target>/<name>, Go's "go test fuzz v1" encoding).
+func readFuzzSeed(t testing.TB, target, name string) []byte {
+	t.Helper()
+	raw, err := os.ReadFile(filepath.Join("testdata", "fuzz", target, name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, ok := strings.CutPrefix(string(raw), "go test fuzz v1\n[]byte(")
+	if !ok {
+		t.Fatalf("%s: not a single-[]byte corpus entry", name)
+	}
+	quoted, ok := strings.CutSuffix(strings.TrimSpace(body), ")")
+	if !ok {
+		t.Fatalf("%s: not a single-[]byte corpus entry", name)
+	}
+	s, err := strconv.Unquote(quoted)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	return []byte(s)
 }

@@ -193,7 +193,7 @@ func TestEvalPolyDeepRecursion(t *testing.T) {
 		}
 		mono[tc.deg] += 1
 		plan := p.NewEvalPolyPlan(mono, tc.lo, tc.hi, 0)
-		ks := kg.GenEvaluationKeySet(sk, plan.KeyLevel(), nil, false, GadgetHybrid)
+		ks := kg.GenEvaluationKeySet(sk, plan.KeyLevel(), nil, false)
 
 		msg := make([]complex128, p.Slots())
 		for i := range msg {

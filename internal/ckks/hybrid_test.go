@@ -1,10 +1,9 @@
 package ckks
 
-// Scheme-layer tests of hybrid (P·Q) key switching: correctness of
-// MulRelin / rotations / conjugation over the raised modulus, depth-capped
-// keys, hoisting bit-identity, the noise advantage over the BV gadget, and
-// the geometry accessors. The BV coverage in keyswitch_test.go and
-// evalkeys_test.go is unchanged — both gadgets stay first-class.
+// Scheme-layer tests of hybrid (P·Q) key switching: precision of
+// MulRelin / rotations / conjugation over the raised modulus at the tight
+// hybrid budget, depth-capped keys with a short last group, hoisting
+// bit-identity, and the geometry accessors.
 
 import (
 	"math/cmplx"
@@ -84,43 +83,10 @@ func TestHybridMulRelin(t *testing.T) {
 	for i := range want {
 		want[i] = m1[i] * m2[i]
 	}
-	// The hybrid gadget's switching noise ≈ σ·√(βαN)·(Q_grp/P) sits orders
-	// of magnitude under the BV budget (5e-2); 1e-3 still leaves slack over
-	// the rescale noise floor (~2e-4 at Δ=2^30).
+	// The switching noise ≈ σ·√(βαN)·(Q_grp/P) sits orders of magnitude
+	// under the rescale noise floor (~2e-4 at Δ=2^30); 1e-3 leaves slack.
 	if e := maxErr(want, got); e > 1e-3 {
 		t.Fatalf("hybrid ct x ct multiply error %g", e)
-	}
-}
-
-// TestHybridNoiseBeatsBV: same circuit, same seed — the hybrid product
-// decodes at least as precisely as the BV product (the raised modulus
-// removes the 2^w digit amplification).
-func TestHybridNoiseBeatsBV(t *testing.T) {
-	p := testParams
-	kg := NewKeyGenerator(p, testSeed())
-	sk, pk := kg.GenKeyPair()
-	enc := NewEncoder(p)
-	encryptor := NewEncryptor(p, pk, testSeed())
-	dec := NewDecryptor(p, sk)
-	ev := NewEvaluator(p)
-
-	m1 := randMsg(p, 0, 143)
-	m2 := randMsg(p, 0, 144)
-	want := make([]complex128, len(m1))
-	for i := range want {
-		want[i] = m1[i] * m2[i]
-	}
-	run := func(rlk *RelinearizationKey) float64 {
-		prod := ev.Rescale(ev.MulRelin(
-			encryptor.Encrypt(enc.Encode(m1)),
-			encryptor.Encrypt(enc.Encode(m2)), rlk))
-		return maxErr(want, enc.Decode(dec.Decrypt(prod)))
-	}
-	errBV := run(kg.GenRelinearizationKey(sk))
-	errHy := run(kg.GenRelinearizationKeyHybridAt(p.MaxLevel()))
-	t.Logf("worst-slot error: bv %.3g, hybrid %.3g", errBV, errHy)
-	if errHy > errBV {
-		t.Fatalf("hybrid noise %g exceeds BV %g", errHy, errBV)
 	}
 }
 
@@ -157,7 +123,7 @@ func TestHybridRotationAndConjugate(t *testing.T) {
 
 // TestHybridDepthCapped: a depth-capped hybrid key works at and below its
 // depth (including a level that does not divide α — a short last group)
-// and panics above it, mirroring the BV contract.
+// and panics above it.
 func TestHybridDepthCapped(t *testing.T) {
 	p := testParams
 	kg := NewKeyGenerator(p, testSeed())
@@ -233,32 +199,10 @@ func TestHybridRotateHoistedMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestHybridMixedGadgetPanics: feeding a hoisted decomposition to a key of
-// the other gadget is an internal invariant violation (loud panic), and a
-// mixed RotateHoisted batch is rejected before any work.
-func TestHybridMixedGadgetPanics(t *testing.T) {
-	p := testParams
-	kg := NewKeyGenerator(p, testSeed())
-	sk, pk := kg.GenKeyPair()
-	enc := NewEncoder(p)
-	encryptor := NewEncryptor(p, pk, testSeed())
-	ev := NewEvaluator(p)
-	ct := encryptor.Encrypt(enc.Encode(randMsg(p, 0, 164)))
-
-	bv := kg.GenRotationKeyAt(sk, p.GaloisElement(1), p.MaxLevel())
-	hy := kg.GenRotationKeyHybridAt(p.GaloisElement(2), p.MaxLevel())
-	defer func() {
-		if recover() == nil {
-			t.Fatal("mixed-gadget RotateHoisted must panic")
-		}
-	}()
-	ev.RotateHoisted(ct, []*RotationKey{bv, hy})
-}
-
-// TestHybridKeySetRejectsForeignSecret: GenEvaluationKeySet's hybrid path
-// derives the secret from the generator's seed; handing it a secret key
-// from a different seed would silently build keys for the wrong key pair,
-// so it must panic loudly instead.
+// TestHybridKeySetRejectsForeignSecret: GenEvaluationKeySet derives the
+// secret from the generator's seed; handing it a secret key from a
+// different seed would silently build keys for the wrong key pair, so it
+// must panic loudly instead.
 func TestHybridKeySetRejectsForeignSecret(t *testing.T) {
 	p := testParams
 	kg := NewKeyGenerator(p, testSeed())
@@ -268,7 +212,7 @@ func TestHybridKeySetRejectsForeignSecret(t *testing.T) {
 			t.Fatal("hybrid key set over a foreign secret must panic")
 		}
 	}()
-	kg.GenEvaluationKeySet(other, 2, nil, false, GadgetHybrid)
+	kg.GenEvaluationKeySet(other, 2, nil, false)
 }
 
 // TestHybridRequiresSpecialPrimes: the hybrid surface panics loudly on a

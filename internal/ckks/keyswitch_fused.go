@@ -39,12 +39,11 @@ import (
 	"repro/internal/rns"
 )
 
-// useFused reports whether key switches against ksk should run the fused
-// pipeline: hybrid gadget on the specialized backend. The portable
-// backend keeps the staged path — it is the oracle fused output is
-// checked against.
-func (p *Parameters) useFused(ksk *SwitchingKey) bool {
-	return ksk.Gadget == GadgetHybrid && p.ringQ.Backend().Specialized()
+// useFused reports whether key switches run the fused pipeline, which
+// they do on the specialized backend. The portable backend keeps the
+// staged path — it is the oracle fused output is checked against.
+func (p *Parameters) useFused() bool {
+	return p.ringQ.Backend().Specialized()
 }
 
 // fusedChunks mirrors lanes.RunChunks' oversubscribed carve so the chunk
@@ -235,7 +234,7 @@ func (p *Parameters) hoistHybridFused(c *ring.Poly, level int) *hoistedDigits {
 		}
 	})
 
-	h := &hoistedDigits{gadget: GadgetHybrid, level: level, dig: make([]*ring.Poly, beta)}
+	h := &hoistedDigits{level: level, dig: make([]*ring.Poly, beta)}
 	for j := 0; j < beta; j++ {
 		h.dig[j] = rqp.GetPolyUninit() // every row fully overwritten below
 	}

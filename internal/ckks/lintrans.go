@@ -21,7 +21,7 @@ import (
 //
 // so the ciphertext is rotated only |babies| + |giants| times instead of
 // once per diagonal — and the BSGS evaluation leans on hoisting twice:
-// every baby rotation shares ONE gadget decomposition of the input's c1
+// every baby rotation shares ONE decomposition of the input's c1
 // (the expensive half of a key switch), and each giant step pays one
 // decomposition of its inner accumulator. The pre-rotations rot_{−g} of
 // the diagonals are free: they happen at encode time.
@@ -109,7 +109,7 @@ func BSGSSteps(slots int, diags []int, n1 int) (babies, giants []int) {
 
 // OptimalN1 scans power-of-two block sizes and returns the one minimizing
 // |babies| + |giants| for the given diagonal support. Giant steps are the
-// more expensive side (each pays a fresh gadget decomposition), so ties
+// more expensive side (each pays a fresh decomposition), so ties
 // break toward the larger block (fewer giants).
 func OptimalN1(slots int, diags []int) int {
 	best, bestCost := 1, int(^uint(0)>>1)
@@ -220,7 +220,7 @@ func (enc *Encoder) NewLinearTransform(diags map[int][]complex128, level, n1 int
 
 // LinearTransform evaluates lt on ct (coefficient domain, at exactly
 // lt.Level) using rotation keys from rot (keyed by normalized step; every
-// step in lt.Rotations() must be present and share one gadget geometry).
+// step in lt.Rotations() must be present).
 // The result lands lt.Rescales levels below at ≈ the input scale. Misuse
 // panics; the public Server role validates and returns typed errors.
 func (ev *Evaluator) LinearTransform(ct *Ciphertext, lt *LinearTransform, rot map[int]*RotationKey) *Ciphertext {
@@ -251,11 +251,11 @@ func (ev *Evaluator) LinearTransform(ct *Ciphertext, lt *LinearTransform, rot ma
 			panic("ckks: missing baby-step rotation key")
 		}
 		if h == nil {
-			h = p.hoistFor(ct.C1, level, rk.K)
+			h = p.hoist(ct.C1, level)
 		}
 		b0, b1 := rl.GetPoly(), rl.GetPoly()
 		b0.IsNTT, b1.IsNTT = true, true
-		p.applyInto(h, rk.K, rk.Perm, b0, b1)
+		p.applyHybridInto(h, rk.K, rk.Perm, b0, b1)
 		tmp := rl.GetPolyUninit() // PermuteNTT writes every index
 		rl.PermuteNTT(c0n, rk.Perm, tmp)
 		rl.Add(b0, tmp, b0)
@@ -292,11 +292,11 @@ func (ev *Evaluator) LinearTransform(ct *Ciphertext, lt *LinearTransform, rot ma
 			rl.MulCoeffsAdd(t.poly, babies[t.baby].b1, acc1)
 		}
 		// Rotate the block accumulator by g and fold into the result: the
-		// switched half accumulates directly (applyInto adds), σ_g of the
-		// acc0 half is a pure NTT-domain gather.
+		// switched half accumulates directly (applyHybridInto adds), σ_g of
+		// the acc0 half is a pure NTT-domain gather.
 		rl.INTT(acc1) // the decomposition reads the coefficient domain
-		hg := p.hoistFor(acc1, level, rk.K)
-		p.applyInto(hg, rk.K, rk.Perm, final0, final1)
+		hg := p.hoist(acc1, level)
+		p.applyHybridInto(hg, rk.K, rk.Perm, final0, final1)
 		p.releaseDigits(hg)
 		tmp := rl.GetPolyUninit()
 		rl.PermuteNTT(acc0, rk.Perm, tmp)

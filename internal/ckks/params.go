@@ -43,8 +43,9 @@ type Parameters struct {
 
 	// SpecialLimbs is the length k of the special-prime chain P used by
 	// hybrid key switching (also the decomposition group size α: the Q
-	// chain splits into dnum = ⌈Limbs/α⌉ groups). 0 disables the hybrid
-	// gadget; the BV digit gadget remains available either way.
+	// chain splits into dnum = ⌈Limbs/α⌉ groups). 0 builds a client-only
+	// parameter set: encryption and decryption work, key switching does
+	// not.
 	SpecialLimbs int
 
 	ringQ    *ring.Ring

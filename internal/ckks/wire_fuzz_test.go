@@ -30,11 +30,13 @@ func fuzzSeedCorpus(t testing.TB) [][]byte {
 	seeded, _ := p.MarshalSeeded(sct)
 	pkData, _ := p.MarshalPublicKey(pk)
 	skData, _ := p.MarshalSecretKey(sk, seed)
-	evkData, _ := p.MarshalEvaluationKeySet(kg.GenEvaluationKeySet(sk, 2, []int{1}, true, GadgetBV))
-	evkHybrid, _ := p.MarshalEvaluationKeySet(kg.GenEvaluationKeySet(sk, 2, []int{1}, true, GadgetHybrid))
+	// Two evaluation-key geometries: a short last decomposition group
+	// (depth 3, α = 2) and an even split with conjugation.
+	evkShort, _ := p.MarshalEvaluationKeySet(kg.GenEvaluationKeySet(sk, 3, []int{1}, false))
+	evkData, _ := p.MarshalEvaluationKeySet(kg.GenEvaluationKeySet(sk, 2, []int{1}, true))
 
-	corpus := [][]byte{nil, []byte("ABCF"), word, packed, seeded, pkData, skData, evkData, evkHybrid}
-	for _, d := range [][]byte{packed, pkData, evkData, evkHybrid} {
+	corpus := [][]byte{nil, []byte("ABCF"), word, packed, seeded, pkData, skData, evkShort, evkData}
+	for _, d := range [][]byte{packed, pkData, evkShort, evkData} {
 		corpus = append(corpus, d[:len(d)/2])
 		flipped := append([]byte(nil), d...)
 		flipped[len(flipped)/3] ^= 0x40
@@ -109,10 +111,14 @@ func FuzzUnmarshalEvaluationKeys(f *testing.F) {
 	p := testParams
 	kg := NewKeyGenerator(p, testSeed())
 	sk := kg.GenSecretKey()
-	// Both gadgets: the sub-header geometry (and the payload shape it
-	// implies) differs, so each needs its own corpus entries.
-	for _, gadget := range []Gadget{GadgetBV, GadgetHybrid} {
-		evk, _ := p.MarshalEvaluationKeySet(kg.GenEvaluationKeySet(sk, 2, []int{1, 3}, true, gadget))
+	// Two geometries — an even group split with conjugation, and a short
+	// last group without — since the payload shape follows the sub-header.
+	var evk []byte
+	for _, g := range []struct {
+		depth int
+		conj  bool
+	}{{2, true}, {3, false}} {
+		evk, _ = p.MarshalEvaluationKeySet(kg.GenEvaluationKeySet(sk, g.depth, []int{1, 3}, g.conj))
 		f.Add(evk)
 		// Reach every sub-header branch: bit-flip the key header, the eval
 		// sub-header and the rotation-step table byte by byte.
@@ -122,6 +128,11 @@ func FuzzUnmarshalEvaluationKeys(f *testing.F) {
 			f.Add(d)
 		}
 	}
+	// A BV-era header (gadget byte 0, the retired digit gadget) over a
+	// hybrid payload: always a rejection input.
+	bvEra := append([]byte(nil), evk...)
+	bvEra[keyHeaderLen()] = 0
+	f.Add(bvEra)
 	f.Fuzz(fuzzParse)
 }
 

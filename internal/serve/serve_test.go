@@ -526,11 +526,29 @@ func TestServeRegisterRejectsAndLifecycle(t *testing.T) {
 	if got := post(append(append([]byte{}, evk...), 0x00)); got != http.StatusBadRequest {
 		t.Errorf("trailing byte: HTTP %d, want 400", got)
 	}
+	// A BV-era blob (gadget byte 0 after the 14-byte key header — the
+	// retired digit gadget) is refused by the header gate: its first 64
+	// bytes alone draw the gadget error, not a truncation error, so the
+	// payload is never read.
+	bvEra := append([]byte{}, evk...)
+	bvEra[14] = 0
+	if got := post(bvEra); got != http.StatusBadRequest {
+		t.Errorf("BV-era blob: HTTP %d, want 400", got)
+	}
+	resp, err := h.client.Post(h.ts.URL+"/v1/sessions", "application/octet-stream", bytes.NewReader(bvEra[:64]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "gadget") {
+		t.Errorf("BV-era header: HTTP %d %s, want 400 from the gadget check", resp.StatusCode, body)
+	}
 
 	// Admission: a service whose whole budget is smaller than the blob
 	// must reject from the header with 413.
 	tiny := newTestHarness(t, Config{CacheBytes: 64, MaxInflight: 4, Workers: 1})
-	resp, err := tiny.client.Post(tiny.ts.URL+"/v1/sessions", "application/octet-stream", bytes.NewReader(evk))
+	resp, err = tiny.client.Post(tiny.ts.URL+"/v1/sessions", "application/octet-stream", bytes.NewReader(evk))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -91,39 +91,17 @@ func (o *KeyOwner) ExportSecretKey() ([]byte, error) {
 	return o.params.MarshalSecretKey(o.secret, o.seed)
 }
 
-// GadgetType selects the key-switching decomposition an exported
-// evaluation-key set is built for.
-type GadgetType int
-
-const (
-	// GadgetAuto (the default) selects hybrid key switching whenever the
-	// preset carries special primes — every shipped preset does — and
-	// falls back to the BV digit gadget otherwise.
-	GadgetAuto GadgetType = iota
-	// GadgetHybrid forces hybrid (P·Q) key switching: ⌈D/α⌉ key rows over
-	// the raised modulus, linear in depth — the construction every
-	// bootstrappable stack uses. Errors when the preset has no special
-	// primes.
-	GadgetHybrid
-	// GadgetBV forces the PR 4 digit-decomposition gadget (quadratic in
-	// depth). Kept for compatibility with servers that imported BV blobs.
-	GadgetBV
-)
-
 // EvalKeyConfig selects what KeyOwner.ExportEvaluationKeys generates.
 //
-// Key size depends on the gadget: the default hybrid gadget costs
-// (1 + rotations) · ⌈D/α⌉ · 2 packed polynomials of D+α limbs — linear in
-// depth D — while GadgetBV is quadratic ((1 + rotations) · D² · digits ·
-// 2). Either way, export keys no deeper than the circuit the server runs
-// (MaxLevel) and only the rotation steps it needs (Rotations;
-// InnerSumRotations builds the power-of-two ladder an inner sum or dot
-// product consumes).
+// Keys use hybrid (P·Q) key switching and cost (1 + rotations) · ⌈D/α⌉ · 2
+// packed polynomials of D+α limbs at depth D. Export keys no deeper than
+// the circuit the server runs (MaxLevel) and only the rotation steps it
+// needs (Rotations; InnerSumRotations builds the power-of-two ladder an
+// inner sum or dot product consumes).
 type EvalKeyConfig struct {
 	// MaxLevel caps the depth of every key in the set; key-gated server
 	// operations work on ciphertexts at level ≤ MaxLevel. 0 means full
-	// depth — fine with the hybrid gadget, hundreds of MB per rotation at
-	// the paper-scale presets under GadgetBV.
+	// depth.
 	//
 	// Depth accounting for polynomial evaluation: Server.EvalPoly runs its
 	// relinearized products down to PolyEval.KeyLevel() — the compiled
@@ -138,29 +116,6 @@ type EvalKeyConfig struct {
 	Rotations []int
 	// Conjugate additionally generates the complex-conjugation key.
 	Conjugate bool
-	// Gadget selects the decomposition (GadgetAuto ⇒ hybrid on every
-	// shipped preset).
-	Gadget GadgetType
-}
-
-// resolveGadget maps the public gadget selector onto the scheme layer's.
-func resolveGadget(g GadgetType, params *ckks.Parameters) (ckks.Gadget, error) {
-	switch g {
-	case GadgetAuto:
-		if params.SpecialLimbs > 0 {
-			return ckks.GadgetHybrid, nil
-		}
-		return ckks.GadgetBV, nil
-	case GadgetHybrid:
-		if params.SpecialLimbs == 0 {
-			return 0, fmt.Errorf("%w: hybrid key switching needs special primes; this parameter set has none",
-				ErrGadgetUnsupported)
-		}
-		return ckks.GadgetHybrid, nil
-	case GadgetBV:
-		return ckks.GadgetBV, nil
-	}
-	return 0, fmt.Errorf("%w: unknown gadget selector %d", ErrGadgetUnsupported, g)
 }
 
 // ExportEvaluationKeys generates and serializes an evaluation-key set for
@@ -183,12 +138,15 @@ func (o *KeyOwner) ExportEvaluationKeys(cfg EvalKeyConfig) ([]byte, error) {
 		return nil, fmt.Errorf("%w: evaluation-key depth %d not in [1, %d]",
 			ErrLevelOutOfRange, maxLevel, o.params.MaxLevel())
 	}
-	gadget, err := resolveGadget(cfg.Gadget, o.params)
-	if err != nil {
-		return nil, err
+	// Every shipped preset carries special primes; a key owner rebuilt
+	// from a secret-key blob whose embedded spec has none cannot host key
+	// switching.
+	if o.params.SpecialLimbs == 0 {
+		return nil, fmt.Errorf("%w: key switching needs special primes; this parameter set has none",
+			ErrGadgetUnsupported)
 	}
 	ks := ckks.NewKeyGenerator(o.params, o.seed).
-		GenEvaluationKeySet(o.secret, maxLevel, cfg.Rotations, cfg.Conjugate, gadget)
+		GenEvaluationKeySet(o.secret, maxLevel, cfg.Rotations, cfg.Conjugate)
 	return o.params.MarshalEvaluationKeySet(ks)
 }
 

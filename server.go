@@ -86,16 +86,6 @@ type EvaluationKeys struct {
 // operations are limited to ciphertexts at level ≤ MaxLevel.
 func (k *EvaluationKeys) MaxLevel() int { return k.set.MaxLevel }
 
-// Gadget reports which key-switching decomposition the imported set was
-// built for (GadgetHybrid or GadgetBV — an imported set is never
-// GadgetAuto).
-func (k *EvaluationKeys) Gadget() GadgetType {
-	if k.set.Gadget == ckks.GadgetHybrid {
-		return GadgetHybrid
-	}
-	return GadgetBV
-}
-
 // RotationSteps lists the rotation steps the set carries, ascending.
 func (k *EvaluationKeys) RotationSteps() []int { return k.set.Steps() }
 
@@ -104,10 +94,11 @@ func (k *EvaluationKeys) HasConjugate() bool { return k.set.Conj != nil }
 
 // ImportEvaluationKeys parses an evaluation-key blob (from
 // KeyOwner.ExportEvaluationKeys), validating the embedded parameter spec
-// against the server's, the geometry against the gadget, and every
-// residue against the modulus chain. A blob from a different preset, a
-// truncated or bit-flipped blob, or one whose domain byte claims
-// NTT-tagged payload all return ErrMalformedWire.
+// against the server's, the geometry against the server's special
+// primes, and every residue against the modulus chain. A blob from a
+// different preset, a truncated or bit-flipped blob, one whose domain
+// byte claims NTT-tagged payload, or one from the retired BV digit
+// gadget (gadget byte 0) all return ErrMalformedWire.
 func (s *Server) ImportEvaluationKeys(data []byte) (*EvaluationKeys, error) {
 	if _, _, err := readEvalKeyBlob(data); err != nil {
 		return nil, err
@@ -266,7 +257,7 @@ func (s *Server) Rotate(ct *Ciphertext, k int, evk *EvaluationKeys) (*Ciphertext
 }
 
 // RotateMany rotates one ciphertext by every step at once on the hoisted
-// path: the gadget digit decomposition (and its NTTs — the dominant cost
+// path: the key-switch decomposition (and its NTTs — the dominant cost
 // of a rotation) is computed once and shared, so each additional step
 // costs only an O(N)-per-limb permuted multiply-accumulate. Results are
 // index-aligned with steps; a zero step yields a copy.
