@@ -1,7 +1,6 @@
-// Compatibility tests for the deprecated Client facade: the v0 surface
-// must keep working (and keep its panic-on-misuse semantics) on top of
-// the role-separated implementation. Role-level coverage lives in
-// roles_test.go / errors_test.go.
+// Client-pipeline tests on the role types: a device encrypts under the
+// owner's public key, a keyless server computes, the owner decrypts.
+// Misuse coverage lives in roles_test.go / errors_test.go.
 
 package abcfhe
 
@@ -10,20 +9,42 @@ import (
 	"testing"
 )
 
-func TestClientRoundTrip(t *testing.T) {
-	c, err := NewClient(Test, 1, 2)
+// ownerAndDevice builds a key owner and an Encryptor over its exported
+// public key, seeded like the owner.
+func ownerAndDevice(t *testing.T, seedLo, seedHi uint64) (*KeyOwner, *Encryptor) {
+	t.Helper()
+	owner, err := NewKeyOwner(Test, seedLo, seedHi)
 	if err != nil {
 		t.Fatal(err)
 	}
-	msg := make([]complex128, c.Slots())
+	pk, err := owner.ExportPublicKey()
+	if err != nil {
+		t.Fatal(err)
+	}
+	device, err := NewEncryptor(pk, seedLo, seedHi)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return owner, device
+}
+
+func TestClientRoundTrip(t *testing.T) {
+	owner, device := ownerAndDevice(t, 1, 2)
+	msg := make([]complex128, device.Slots())
 	for i := range msg {
 		msg[i] = complex(float64(i%7)/7-0.5, float64(i%11)/11-0.5)
 	}
-	ct := c.EncodeEncrypt(msg)
-	if ct.Level != c.MaxLevel() {
+	ct, err := device.EncodeEncrypt(msg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ct.Level != device.MaxLevel() {
 		t.Fatal("fresh ciphertext must be at full depth")
 	}
-	got := c.DecryptDecode(ct)
+	got, err := owner.DecryptDecode(ct)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := range msg {
 		if cmplx.Abs(got[i]-msg[i]) > 1e-4 {
 			t.Fatalf("slot %d error %g", i, cmplx.Abs(got[i]-msg[i]))
@@ -34,19 +55,31 @@ func TestClientRoundTrip(t *testing.T) {
 func TestClientServerFlow(t *testing.T) {
 	// The paper's deployment: client encrypts at full depth, server
 	// computes and returns a 2-limb ciphertext, client decrypts it.
-	c, err := NewClient(Test, 3, 4)
+	owner, device := ownerAndDevice(t, 3, 4)
+	server, err := NewServer(Test)
 	if err != nil {
 		t.Fatal(err)
 	}
-	msg := make([]complex128, c.Slots())
+	msg := make([]complex128, device.Slots())
 	for i := range msg {
 		msg[i] = complex(0.25, -0.125)
 	}
-	ct := c.EncodeEncrypt(msg)
-	ev := c.Evaluator()
-	doubled := ev.Add(ct, ct)         // server-side work
-	small := ev.DropLevel(doubled, 2) // server returns 2-limb state
-	got := c.DecryptDecode(small)
+	ct, err := device.EncodeEncrypt(msg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	doubled, err := server.Add(ct, ct) // server-side work
+	if err != nil {
+		t.Fatal(err)
+	}
+	small, err := server.DropLevel(doubled, 2) // server returns 2-limb state
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := owner.DecryptDecode(small)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := range got {
 		if cmplx.Abs(got[i]-complex(0.5, -0.25)) > 1e-4 {
 			t.Fatalf("slot %d: %v", i, got[i])
@@ -55,37 +88,9 @@ func TestClientServerFlow(t *testing.T) {
 }
 
 func TestUnknownPreset(t *testing.T) {
-	if _, err := NewClient(Preset("bogus"), 0, 0); err == nil {
+	if _, err := NewKeyOwner(Preset("bogus"), 0, 0); err == nil {
 		t.Fatal("unknown preset must error")
 	}
-}
-
-// TestClientFacadePanicsOnMisuse pins the v0 contract: where the role
-// types return typed errors, the deprecated facade panics.
-func TestClientFacadePanicsOnMisuse(t *testing.T) {
-	c, err := NewClient(Test, 15, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mustPanic := func(name string, f func()) {
-		t.Helper()
-		defer func() {
-			if recover() == nil {
-				t.Errorf("%s: facade misuse must panic", name)
-			}
-		}()
-		f()
-	}
-	mustPanic("EncodeEncrypt too long", func() {
-		c.EncodeEncrypt(make([]complex128, c.Slots()+1))
-	})
-	mustPanic("DecryptDecode nil", func() {
-		c.DecryptDecode(nil)
-	})
-	mustPanic("BatchInto mis-sized", func() {
-		ct := c.EncodeEncrypt([]complex128{0.5})
-		c.DecryptDecodeBatchInto([]*Ciphertext{ct}, make([][]complex128, 2))
-	})
 }
 
 func TestAcceleratorSummary(t *testing.T) {
@@ -127,27 +132,30 @@ func TestExperimentRegistry(t *testing.T) {
 }
 
 func TestSerializationAPI(t *testing.T) {
-	c, err := NewClient(Test, 5, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
+	owner, device := ownerAndDevice(t, 5, 6)
 	msg := make([]complex128, 8)
 	for i := range msg {
 		msg[i] = complex(0.1*float64(i), -0.05*float64(i))
 	}
-	ct := c.EncodeEncrypt(msg)
-	data, err := c.SerializeCiphertext(ct)
+	ct, err := device.EncodeEncrypt(msg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(data) != c.CiphertextWireBytes(ct.Level) {
-		t.Fatalf("wire size %d != reported %d", len(data), c.CiphertextWireBytes(ct.Level))
-	}
-	back, err := c.DeserializeCiphertext(data)
+	data, err := device.SerializeCiphertext(ct)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := c.DecryptDecode(back)
+	if want, err := device.CiphertextWireBytes(ct.Level); err != nil || len(data) != want {
+		t.Fatalf("wire size %d != reported %d (%v)", len(data), want, err)
+	}
+	back, err := owner.DeserializeCiphertext(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := owner.DecryptDecode(back)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := range msg {
 		if cmplx.Abs(got[i]-msg[i]) > 1e-4 {
 			t.Fatalf("slot %d after wire round trip: %v", i, got[i])
@@ -156,30 +164,40 @@ func TestSerializationAPI(t *testing.T) {
 }
 
 func TestCompressedUploadAPI(t *testing.T) {
-	c, err := NewClient(Test, 7, 8)
+	owner, err := NewKeyOwner(Test, 7, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	msg := make([]complex128, c.Slots())
+	server, err := NewServer(Test)
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg := make([]complex128, owner.Slots())
 	for i := range msg {
 		msg[i] = complex(0.25, -0.25)
 	}
-	data, err := c.EncodeEncryptCompressed(msg)
+	data, err := owner.EncodeEncryptCompressed(msg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	full := c.CiphertextWireBytes(c.MaxLevel())
+	full, err := owner.CiphertextWireBytes(owner.MaxLevel())
+	if err != nil {
+		t.Fatal(err)
+	}
 	if float64(len(data)) > 0.52*float64(full) {
 		t.Fatalf("compressed upload %d bytes not ≈half of %d", len(data), full)
 	}
-	if len(data) != c.CompressedWireBytes(c.MaxLevel()) {
+	if want, err := owner.CompressedWireBytes(owner.MaxLevel()); err != nil || len(data) != want {
 		t.Fatal("compressed size does not match the reported wire size")
 	}
-	ct, err := c.ExpandCompressedUpload(data)
+	ct, err := server.ExpandCompressedUpload(data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := c.DecryptDecode(ct)
+	got, err := owner.DecryptDecode(ct)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := range msg {
 		if cmplx.Abs(got[i]-msg[i]) > 1e-4 {
 			t.Fatalf("slot %d after compressed round trip: %v", i, got[i])

@@ -16,6 +16,7 @@ import (
 	"testing"
 
 	"repro/internal/bench"
+	"repro/internal/ckks"
 	"repro/internal/prng"
 	"repro/internal/sim"
 )
@@ -69,35 +70,54 @@ func BenchmarkPrimeCensus(b *testing.B) { benchExperiment(b, "primes") }
 // Micro-benchmarks: the client primitives themselves.
 // ---------------------------------------------------------------------
 
-func benchClient(b *testing.B) (*Client, []complex128) {
+// benchParties builds a preset's key owner and an Encryptor over its
+// public key, plus a random full-slot message.
+func benchParties(b *testing.B, preset Preset, opts ...Option) (*KeyOwner, *Encryptor, []complex128) {
 	b.Helper()
-	c, err := NewClient(Test, 7, 8)
+	owner, err := NewKeyOwner(preset, 7, 8, opts...)
 	if err != nil {
 		b.Fatal(err)
 	}
-	msg := make([]complex128, c.Slots())
+	pk, err := owner.ExportPublicKey()
+	if err != nil {
+		b.Fatal(err)
+	}
+	enc, err := NewEncryptor(pk, 7, 8, opts...)
+	if err != nil {
+		b.Fatal(err)
+	}
+	msg := make([]complex128, owner.Slots())
 	src := prng.NewSource(prng.SeedFromUint64s(1, 2), 0)
 	for i := range msg {
 		msg[i] = complex(src.Float64()-0.5, src.Float64()-0.5)
 	}
-	return c, msg
+	return owner, enc, msg
+}
+
+// benchLow encrypts msg and drops it to the paper's 2-limb return level.
+func benchLow(b *testing.B, enc *Encryptor, msg []complex128) *Ciphertext {
+	b.Helper()
+	ct, err := enc.EncodeEncrypt(msg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return ckks.NewEvaluator(enc.params).DropLevel(ct, 2)
 }
 
 func BenchmarkClientEncodeEncrypt(b *testing.B) {
-	c, msg := benchClient(b)
+	_, enc, msg := benchParties(b, Test)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c.EncodeEncrypt(msg)
+		enc.EncodeEncrypt(msg)
 	}
 }
 
 func BenchmarkClientDecryptDecode(b *testing.B) {
-	c, msg := benchClient(b)
-	ct := c.EncodeEncrypt(msg)
-	low := c.Evaluator().DropLevel(ct, 2)
+	owner, enc, msg := benchParties(b, Test)
+	low := benchLow(b, enc, msg)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c.DecryptDecode(low)
+		owner.DecryptDecode(low)
 	}
 }
 
@@ -108,21 +128,13 @@ func BenchmarkClientDecryptDecode(b *testing.B) {
 func BenchmarkDecryptDecode(b *testing.B) {
 	for _, preset := range []Preset{Test, PN13, PN14, PN15, PN16} {
 		b.Run(string(preset), func(b *testing.B) {
-			c, err := NewClient(preset, 7, 8)
-			if err != nil {
-				b.Fatal(err)
-			}
-			msg := make([]complex128, c.Slots())
-			src := prng.NewSource(prng.SeedFromUint64s(1, 2), 0)
-			for i := range msg {
-				msg[i] = complex(src.Float64()-0.5, src.Float64()-0.5)
-			}
-			low := c.Evaluator().DropLevel(c.EncodeEncrypt(msg), 2)
-			out := make([]complex128, c.Slots())
+			owner, enc, msg := benchParties(b, preset)
+			low := benchLow(b, enc, msg)
+			out := make([]complex128, owner.Slots())
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				c.DecryptDecodeInto(low, out)
+				owner.DecryptDecodeInto(low, out)
 			}
 		})
 	}
@@ -132,24 +144,16 @@ func BenchmarkDecryptDecode(b *testing.B) {
 func BenchmarkDecryptDecodeBatch(b *testing.B) {
 	for _, preset := range []Preset{Test, PN13} {
 		b.Run(fmt.Sprintf("%s/8msgs", preset), func(b *testing.B) {
-			c, err := NewClient(preset, 7, 8)
-			if err != nil {
-				b.Fatal(err)
-			}
-			msg := make([]complex128, c.Slots())
-			src := prng.NewSource(prng.SeedFromUint64s(1, 2), 0)
-			for i := range msg {
-				msg[i] = complex(src.Float64()-0.5, src.Float64()-0.5)
-			}
+			owner, enc, msg := benchParties(b, preset)
 			cts := make([]*Ciphertext, 8)
 			out := make([][]complex128, len(cts))
 			for i := range cts {
-				cts[i] = c.Evaluator().DropLevel(c.EncodeEncrypt(msg), 2)
+				cts[i] = benchLow(b, enc, msg)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				c.DecryptDecodeBatchInto(cts, out)
+				owner.DecryptDecodeBatchInto(cts, out)
 			}
 		})
 	}
@@ -175,19 +179,12 @@ func BenchmarkPN15EncodeEncryptLanes(b *testing.B) {
 	workerCounts := []int{1, runtime.GOMAXPROCS(0)}
 	for _, w := range workerCounts {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			c, err := NewClient(PN15, 7, 8, WithWorkers(w))
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer c.Close()
-			msg := make([]complex128, c.Slots())
-			src := prng.NewSource(prng.SeedFromUint64s(1, 2), 0)
-			for i := range msg {
-				msg[i] = complex(src.Float64()-0.5, src.Float64()-0.5)
-			}
+			owner, enc, msg := benchParties(b, PN15, WithWorkers(w))
+			defer owner.Close()
+			defer enc.Close()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				c.EncodeEncrypt(msg)
+				enc.EncodeEncrypt(msg)
 			}
 		})
 	}
@@ -196,14 +193,14 @@ func BenchmarkPN15EncodeEncryptLanes(b *testing.B) {
 // Batch pipeline: amortizes per-message overheads on top of limb-level
 // parallelism (message-level fan-out keeps lanes busy between ops).
 func BenchmarkClientEncodeEncryptBatch8(b *testing.B) {
-	c, msg := benchClient(b)
+	_, enc, msg := benchParties(b, Test)
 	msgs := make([][]complex128, 8)
 	for i := range msgs {
 		msgs[i] = msg
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c.EncodeEncryptBatch(msgs)
+		enc.EncodeEncryptBatch(msgs)
 	}
 }
 

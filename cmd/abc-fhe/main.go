@@ -16,18 +16,15 @@
 //	abc-fhe decrypt  -sk sk.key -in ct.bin                  # key owner
 //
 // The eval subcommand bootstraps its server from the evaluation-key blob
-// alone (the parameter spec is embedded) and supports ops mul, rotate,
-// conjugate, innersum, dot, c2s, s2c, evalpoly and evalmod — the
-// encrypted-compute surface of the Server role. c2s (CoeffsToSlots) emits
-// two ciphertexts (-out the real coefficient half, -out2 the imaginary
-// one); s2c inverts it, taking the pair back via -a/-b. Both need an
-// evaluation-key blob exported with `evalkeys -dft-levels N`. evalpoly
-// applies the polynomial whose monomial coefficients -coeffs lists (one
-// per line, degree order) over the interval the -lo/-hi flags give, via
-// the BSGS Chebyshev schedule; evalmod applies the sine-surrogate
-// modular reduction (-degree, -range) — the bootstrap stage that follows
-// c2s. Message files hold one complex value per line: "re" or
-// "re im".
+// alone (the parameter spec is embedded) and runs one op of the registry
+// `abc-fhe serve` exposes as /v1/eval/{op}: the same ops, inputs and
+// parameters, where each input is a -<input> file and each parameter
+// the flag of its query-key name (`abc-fhe eval -h` lists them). c2s
+// (CoeffsToSlots) emits two ciphertexts (-out the real coefficient half,
+// -out2 the imaginary one); s2c inverts it, taking the pair back via
+// -a/-b. Both need an evaluation-key blob exported with
+// `evalkeys -dft-levels N`. Message, weight and coefficient files hold
+// one complex value per line: "re" or "re im".
 //
 // Demo usage:
 //
@@ -45,12 +42,15 @@ import (
 	"fmt"
 	"math"
 	"math/cmplx"
+	"net/url"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
 
 	abcfhe "repro"
+	"repro/internal/serve"
 )
 
 func main() {
@@ -238,35 +238,70 @@ func runEvalKeys(args []string) error {
 }
 
 // runEval is the server role on files: bootstrap from the evaluation-key
-// blob (no preset flag — the spec is embedded), apply one key-gated
-// operation, write the resulting ciphertext.
+// blob (no preset flag — the spec is embedded) and run one op of the
+// registry serve exposes as /v1/eval/{op}. Each op input is read from the
+// file its -<input> flag names; each op parameter is the flag of the same
+// name; output part i goes to -out, then -out2.
 func runEval(args []string) error {
 	fs := flag.NewFlagSet("eval", flag.ContinueOnError)
 	evkPath := fs.String("evk", "evk.bin", "evaluation-key blob from `abc-fhe evalkeys`")
-	op := fs.String("op", "", "operation: mul, rotate, conjugate, innersum, dot, c2s, s2c, evalpoly, evalmod")
-	aPath := fs.String("a", "", "first ciphertext file")
-	bPath := fs.String("b", "", "second ciphertext file (mul; the imaginary half for s2c)")
-	by := fs.Int("by", 0, "rotation step (rotate)")
-	span := fs.Int("span", 0, "inner-sum span, a power of two (innersum)")
-	weights := fs.String("weights", "", "plaintext weight file, one value per line (dot)")
-	coeffsPath := fs.String("coeffs", "", "monomial coefficient file, one value per line in degree order (evalpoly)")
-	lo := fs.Float64("lo", -1, "approximation interval lower bound (evalpoly)")
-	hi := fs.Float64("hi", 1, "approximation interval upper bound (evalpoly)")
-	level := fs.Int("level", 0, "input level the polynomial is compiled at (evalpoly, evalmod; 0 = minimum feasible)")
-	degree := fs.Int("degree", 0, "sine-surrogate Taylor degree (evalmod; 0 = 15)")
-	modRange := fs.Float64("range", 0, "sine-surrogate modulus analogue (evalmod; 0 = 8)")
-	dftLevels := fs.Int("dft-levels", 1, "butterfly groups per direction (c2s, s2c) — match `evalkeys -dft-levels`")
-	out2Path := fs.String("out2", "ct.out2.bin", "second output ciphertext file (c2s imaginary half)")
-	dropLevel := fs.Int("drop-level", 0, "DropLevel the inputs first (0 = keep; use the evalkeys depth)")
-	rescale := fs.Int("rescale", 0, "Rescale the result n times (a mul consumes 1, or 2 on double-scale presets)")
-	outPath := fs.String("out", "ct.out.bin", "output ciphertext file")
+	opName := fs.String("op", "", "operation: "+strings.Join(serve.OpNames(), ", "))
+	inputs := map[string]*string{}
+	for _, name := range serve.OpNames() {
+		op, _ := serve.LookupOp(name)
+		for _, in := range op.Inputs {
+			if inputs[in.Name] == nil {
+				inputs[in.Name] = fs.String(in.Name, "", evalInputUsage(in.Name))
+			}
+		}
+	}
+	isParam := map[string]bool{}
+	for _, p := range serve.Params() {
+		isParam[p.Name] = true
+		usage := p.Help
+		if ops := opsWith(func(op *serve.Op) bool { return slices.Contains(op.Params, p.Name) }); len(ops) < len(serve.OpNames()) {
+			usage += "; ops: " + strings.Join(ops, ", ")
+		}
+		switch d := p.Default.(type) {
+		case int:
+			fs.Int(p.Name, d, usage)
+		case float64:
+			fs.Float64(p.Name, d, usage)
+		}
+	}
+	outPaths := []*string{
+		fs.String("out", "ct.out.bin", "output ciphertext file"),
+		fs.String("out2", "ct.out2.bin", "second output ciphertext file (c2s imaginary half)"),
+	}
 	workers := fs.Int("workers", 0, "software PNL lanes (0 = GOMAXPROCS, 1 = serial)")
 	backend := fs.String("backend", "", "execution backend: fast or portable (default: $ABCFHE_BACKEND or fast)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *aPath == "" {
-		return fmt.Errorf("eval: -a ciphertext file required")
+	op, err := serve.LookupOp(*opName)
+	if err != nil {
+		return fmt.Errorf("eval: %w", err)
+	}
+
+	q := url.Values{}
+	fs.Visit(func(f *flag.Flag) {
+		if isParam[f.Name] {
+			q.Set(f.Name, f.Value.String())
+		} else if inputs[f.Name] != nil && !slices.ContainsFunc(op.Inputs, func(in serve.Input) bool { return in.Name == f.Name }) {
+			err = fmt.Errorf("eval: -op %s takes no -%s", op.Name, f.Name)
+		}
+	})
+	if err != nil {
+		return err
+	}
+	parts := make([][]byte, len(op.Inputs))
+	for i, in := range op.Inputs {
+		if *inputs[in.Name] == "" {
+			return fmt.Errorf("eval: -op %s needs -%s (%s file)", op.Name, in.Name, in.Kind)
+		}
+		if parts[i], err = os.ReadFile(*inputs[in.Name]); err != nil {
+			return err
+		}
 	}
 
 	evkBytes, err := os.ReadFile(*evkPath)
@@ -280,152 +315,47 @@ func runEval(args []string) error {
 	}
 	defer server.Close()
 
-	loadCt := func(path string) (*abcfhe.Ciphertext, error) {
-		data, err := os.ReadFile(path)
-		if err != nil {
-			return nil, err
-		}
-		ct, err := server.DeserializeCiphertext(data)
-		if err != nil {
-			return nil, err
-		}
-		if *dropLevel > 0 {
-			return server.DropLevel(ct, *dropLevel)
-		}
-		return ct, nil
-	}
-	a, err := loadCt(*aPath)
+	out, err := op.Eval(server, evk, q, parts)
 	if err != nil {
-		return err
+		return fmt.Errorf("eval %s: %w", op.Name, err)
 	}
-
-	var out *abcfhe.Ciphertext
-	switch *op {
-	case "mul":
-		if *bPath == "" {
-			return fmt.Errorf("eval: -op mul needs -b")
-		}
-		b, err := loadCt(*bPath)
+	for i, ct := range out {
+		data, err := server.SerializeCiphertext(ct)
 		if err != nil {
 			return err
 		}
-		out, err = server.Mul(a, b, evk)
-		if err != nil {
+		if err := os.WriteFile(*outPaths[i], data, 0o644); err != nil {
 			return err
 		}
-	case "rotate":
-		if out, err = server.Rotate(a, *by, evk); err != nil {
-			return err
-		}
-	case "conjugate":
-		if out, err = server.Conjugate(a, evk); err != nil {
-			return err
-		}
-	case "innersum":
-		if out, err = server.InnerSum(a, *span, evk); err != nil {
-			return err
-		}
-	case "dot":
-		if *weights == "" {
-			return fmt.Errorf("eval: -op dot needs -weights")
-		}
-		w, err := readMessageFile(*weights)
-		if err != nil {
-			return err
-		}
-		if out, err = server.DotPlain(a, w, evk); err != nil {
-			return err
-		}
-	case "c2s":
-		// CoeffsToSlots consumes the input at its current level (use
-		// -drop-level to start shallower) and emits the two real-valued
-		// coefficient halves as separate ciphertexts.
-		dft, err := server.NewHomomorphicDFT(abcfhe.HomomorphicDFTConfig{
-			StartLevel: a.Level, Levels: *dftLevels})
-		if err != nil {
-			return err
-		}
-		re, im, err := server.CoeffsToSlots(a, dft, evk)
-		if err != nil {
-			return err
-		}
-		imData, err := server.SerializeCiphertext(im)
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(*out2Path, imData, 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("eval c2s: level-%d imaginary half, %d bytes -> %s\n", im.Level, len(imData), *out2Path)
-		out = re
-	case "s2c":
-		if *bPath == "" {
-			return fmt.Errorf("eval: -op s2c needs -b (the imaginary half from c2s)")
-		}
-		b, err := loadCt(*bPath)
-		if err != nil {
-			return err
-		}
-		// Recover the schedule from the inputs: the pair sits at the DFT's
-		// mid level, so scan start levels for the one whose midpoint lands
-		// there (StartLevel − Levels·rescales, preset-dependent).
-		var dft *abcfhe.HomomorphicDFT
-		for start := a.Level + 1; start <= server.MaxLevel(); start++ {
-			d, err := server.NewHomomorphicDFT(abcfhe.HomomorphicDFTConfig{
-				StartLevel: start, Levels: *dftLevels})
-			if err == nil && d.MidLevel() == a.Level {
-				dft = d
-				break
-			}
-		}
-		if dft == nil {
-			return fmt.Errorf("eval: no %d-level DFT has its midpoint at level %d (wrong -dft-levels, or inputs too shallow)", *dftLevels, a.Level)
-		}
-		if out, err = server.SlotsToCoeffs(a, b, dft, evk); err != nil {
-			return err
-		}
-	case "evalpoly":
-		if *coeffsPath == "" {
-			return fmt.Errorf("eval: -op evalpoly needs -coeffs")
-		}
-		coeffs, err := readMessageFile(*coeffsPath)
-		if err != nil {
-			return err
-		}
-		pe, err := server.NewPolyEval(coeffs, *lo, *hi, *level)
-		if err != nil {
-			return err
-		}
-		if out, err = server.EvalPoly(a, pe, evk); err != nil {
-			return err
-		}
-	case "evalmod":
-		em, err := server.NewEvalMod(abcfhe.EvalModConfig{
-			Degree: *degree, Range: *modRange, Level: *level})
-		if err != nil {
-			return err
-		}
-		if out, err = server.EvalMod(a, em, evk); err != nil {
-			return err
-		}
-	default:
-		return fmt.Errorf("eval: unknown -op %q (mul, rotate, conjugate, innersum, dot, c2s, s2c, evalpoly, evalmod)", *op)
+		fmt.Printf("eval %s: level-%d ciphertext, %d bytes -> %s\n", op.Name, ct.Level, len(data), *outPaths[i])
 	}
-	for i := 0; i < *rescale; i++ {
-		if out, err = server.Rescale(out); err != nil {
-			return err
-		}
-	}
-
-	data, err := server.SerializeCiphertext(out)
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(*outPath, data, 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("eval %s: level-%d ciphertext, %d bytes -> %s\n", *op, out.Level, len(data), *outPath)
 	return nil
+}
+
+// opsWith lists the registry ops that satisfy keep, sorted.
+func opsWith(keep func(op *serve.Op) bool) []string {
+	var names []string
+	for _, name := range serve.OpNames() {
+		if op, _ := serve.LookupOp(name); keep(op) {
+			names = append(names, name)
+		}
+	}
+	return names
+}
+
+// evalInputUsage describes the -<name> input flag: the kind of file it
+// holds for each op that takes it.
+func evalInputUsage(name string) string {
+	var uses []string
+	for _, kind := range []serve.InputKind{serve.Ciphertext, serve.Values, serve.Upload} {
+		ops := opsWith(func(op *serve.Op) bool {
+			return slices.Contains(op.Inputs, serve.Input{Name: name, Kind: kind})
+		})
+		if len(ops) > 0 {
+			uses = append(uses, fmt.Sprintf("%s (%s)", kind, strings.Join(ops, ", ")))
+		}
+	}
+	return "input file: " + strings.Join(uses, "; ")
 }
 
 func runEncrypt(args []string) error {
@@ -463,7 +393,7 @@ func runEncrypt(args []string) error {
 	}
 	defer enc.Close()
 
-	msg, err := readMessageFile(*inPath)
+	msg, err := readValues(*inPath)
 	if err != nil {
 		return err
 	}
@@ -522,7 +452,7 @@ func runDecrypt(args []string) error {
 	}
 	// -expect verifies against the full decryption; -n only trims output.
 	if *expect != "" {
-		want, err := readMessageFile(*expect)
+		want, err := readValues(*expect)
 		if err != nil {
 			return err
 		}
@@ -563,38 +493,17 @@ func runDecrypt(args []string) error {
 	return w.Flush()
 }
 
-// readMessageFile parses one complex value per line: "re" or "re im",
-// whitespace-separated. Blank lines and #-comments are skipped.
-func readMessageFile(path string) ([]complex128, error) {
-	raw, err := os.ReadFile(path)
+// readValues reads a value-list file (see serve.ParseComplexLines).
+func readValues(path string) ([]complex128, error) {
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	var msg []complex128
-	for lineNo, line := range strings.Split(string(raw), "\n") {
-		line = strings.TrimSpace(line)
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		fields := strings.Fields(line)
-		if len(fields) > 2 {
-			return nil, fmt.Errorf("%s:%d: want \"re\" or \"re im\", got %q", path, lineNo+1, line)
-		}
-		var re, im float64
-		if re, err = strconv.ParseFloat(fields[0], 64); err != nil {
-			return nil, fmt.Errorf("%s:%d: %v", path, lineNo+1, err)
-		}
-		if len(fields) == 2 {
-			if im, err = strconv.ParseFloat(fields[1], 64); err != nil {
-				return nil, fmt.Errorf("%s:%d: %v", path, lineNo+1, err)
-			}
-		}
-		msg = append(msg, complex(re, im))
+	vals, err := serve.ParseComplexLines(data)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
 	}
-	if len(msg) == 0 {
-		return nil, fmt.Errorf("%s: no values", path)
-	}
-	return msg, nil
+	return vals, nil
 }
 
 // ---------------------------------------------------------------------

@@ -47,7 +47,7 @@ func TestCLIKeyRoundTrip(t *testing.T) {
 		t.Fatalf("decrypt -n 3 wrote %d lines", len(lines))
 	}
 	// The emitted text round-trips through the message parser.
-	back, err := readMessageFile(out)
+	back, err := readValues(out)
 	if err != nil {
 		t.Fatal(err)
 	}

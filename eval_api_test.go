@@ -514,7 +514,7 @@ func TestHybridBlobNeedsSpecialPrimes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := &Server{party: party{params: params, ownsParams: true}}
+	srv := &Server{party: party{params: params}}
 	if _, err := srv.ImportEvaluationKeys(blob); !errors.Is(err, ErrMalformedWire) {
 		t.Fatalf("import into a server without special primes: %v", err)
 	}

@@ -19,7 +19,7 @@ type Plaintext struct {
 
 // PutPlaintext recycles pt's backing polynomial into the scratch pool.
 // Only call when pt was produced by this library (Encode/Decrypt) and no
-// reference to it survives — the fused pipelines (Client.EncodeEncrypt
+// reference to it survives — the fused pipelines (Encryptor.EncodeEncrypt
 // and friends) use it to run allocation-free in steady state.
 func (p *Parameters) PutPlaintext(pt *Plaintext) {
 	if pt == nil {

@@ -87,11 +87,11 @@ func ReadFrames(r io.Reader, maxParts int, maxPart int64) ([][]byte, error) {
 	return parts, nil
 }
 
-// parseComplexLines parses the CLI message-file format ("re" or "re im"
-// per line, # comments) from a request part — the dot endpoint's weight
-// vector travels this way so files feed both the CLI and the service
-// unchanged.
-func parseComplexLines(data []byte) ([]complex128, error) {
+// ParseComplexLines parses the text value-list format: one complex
+// value per line, "re" or "re im", with blank lines and # comments
+// skipped. Message, weight, coefficient and expected-result files all
+// use it, on the CLI and in request parts alike.
+func ParseComplexLines(data []byte) ([]complex128, error) {
 	var vals []complex128
 	for ln, line := range strings.Split(string(data), "\n") {
 		line = strings.TrimSpace(line)
@@ -100,22 +100,22 @@ func parseComplexLines(data []byte) ([]complex128, error) {
 		}
 		fields := strings.Fields(line)
 		if len(fields) > 2 {
-			return nil, fmt.Errorf("%w: weights line %d: want \"re\" or \"re im\"", abcfhe.ErrInvalidConstant, ln+1)
+			return nil, fmt.Errorf("%w: line %d: want \"re\" or \"re im\", got %q", abcfhe.ErrInvalidConstant, ln+1, line)
 		}
 		re, err := strconv.ParseFloat(fields[0], 64)
 		if err != nil {
-			return nil, fmt.Errorf("%w: weights line %d: %v", abcfhe.ErrInvalidConstant, ln+1, err)
+			return nil, fmt.Errorf("%w: line %d: %v", abcfhe.ErrInvalidConstant, ln+1, err)
 		}
 		im := 0.0
 		if len(fields) == 2 {
 			if im, err = strconv.ParseFloat(fields[1], 64); err != nil {
-				return nil, fmt.Errorf("%w: weights line %d: %v", abcfhe.ErrInvalidConstant, ln+1, err)
+				return nil, fmt.Errorf("%w: line %d: %v", abcfhe.ErrInvalidConstant, ln+1, err)
 			}
 		}
 		vals = append(vals, complex(re, im))
 	}
 	if len(vals) == 0 {
-		return nil, fmt.Errorf("%w: empty weight vector", abcfhe.ErrInvalidConstant)
+		return nil, fmt.Errorf("%w: no values", abcfhe.ErrInvalidConstant)
 	}
 	return vals, nil
 }

@@ -65,7 +65,7 @@ func TestFrameRejects(t *testing.T) {
 }
 
 func TestParseComplexLines(t *testing.T) {
-	vals, err := parseComplexLines([]byte("# header\n0.25\n0.5 -0.125\n\n1e-3 2\n"))
+	vals, err := ParseComplexLines([]byte("# header\n0.25\n0.5 -0.125\n\n1e-3 2\n"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestParseComplexLines(t *testing.T) {
 		}
 	}
 	for _, bad := range []string{"", "# only\n", "a b\n", "1 2 3\n"} {
-		if _, err := parseComplexLines([]byte(bad)); !errors.Is(err, abcfhe.ErrInvalidConstant) {
+		if _, err := ParseComplexLines([]byte(bad)); !errors.Is(err, abcfhe.ErrInvalidConstant) {
 			t.Errorf("%q: err = %v, want ErrInvalidConstant", bad, err)
 		}
 	}

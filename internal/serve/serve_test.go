@@ -231,8 +231,8 @@ func TestServeEndToEndByteIdentity(t *testing.T) {
 		"innersum":  {"&span=4", [][]byte{aw}},
 		"dot":       {"", [][]byte{aw, weightsText}},
 		"expand":    {"", [][]byte{seeded}},
-		"c2s":       {"&levels=1", [][]byte{aw}},
-		"s2c":       {"&levels=1", [][]byte{reW, imW}},
+		"c2s":       {"&dft-levels=1", [][]byte{aw}},
+		"s2c":       {"&dft-levels=1", [][]byte{reW, imW}},
 		"evalpoly":  {"&lo=-1&hi=1", [][]byte{aw, polyText}},
 		"evalmod":   {"&degree=1&range=8", [][]byte{bw}},
 	}
@@ -464,7 +464,7 @@ func TestServeBackpressureHTTP(t *testing.T) {
 		wg.Add(1)
 		go func() { // a slow op to occupy the only in-flight slot
 			defer wg.Done()
-			h.eval(sr.Session, "c2s", "&levels=1", ctw)
+			h.eval(sr.Session, "c2s", "&dft-levels=1", ctw)
 		}()
 		for i := 0; i < 5 && !saw429; i++ {
 			status, _, hdr := h.eval(sr.Session, "rotate", "&by=1", ctw)
@@ -659,5 +659,58 @@ func TestServeDrain(t *testing.T) {
 	}
 	if status, _, _ := h.eval(sr.Session, "rotate", "&by=1", ctw); status != http.StatusOK {
 		t.Errorf("eval while draining: HTTP %d, want 200 (queued work must finish)", status)
+	}
+}
+
+// TestServeRejectsUndeclaredParams: a query key the op does not declare
+// answers 400 naming the key, instead of silently running with the
+// default — including the retired spellings levels= and start=.
+func TestServeRejectsUndeclaredParams(t *testing.T) {
+	owner, err := abcfhe.NewKeyOwner(abcfhe.Test, 17, 18)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer owner.Close()
+	evk, err := owner.ExportEvaluationKeys(abcfhe.EvalKeyConfig{Rotations: []int{1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := newTestHarness(t, Config{CacheBytes: 2 * int64(len(evk)), MaxInflight: 4, Workers: 1})
+	sr := h.register(evk)
+
+	cases := map[string]string{
+		"mul":       "by=1",
+		"rotate":    "step=3",
+		"conjugate": "span=2",
+		"innersum":  "by=1",
+		"dot":       "levels=1",
+		"c2s":       "start=3",
+		"s2c":       "levels=1",
+		"evalpoly":  "degree=3",
+		"evalmod":   "lo=-1",
+		"expand":    "drop-level=2",
+	}
+	for _, op := range OpNames() {
+		query, ok := cases[op]
+		if !ok {
+			t.Errorf("op %s has no undeclared-parameter case", op)
+			continue
+		}
+		key := query[:strings.Index(query, "=")]
+		parts := make([][]byte, len(opTable[op].Inputs))
+		for i := range parts {
+			parts[i] = []byte("x")
+		}
+		url := h.ts.URL + "/v1/eval/" + op + "?session=" + sr.Session + "&" + query
+		resp, err := h.client.Post(url, ContentTypeFrames, bytes.NewReader(EncodeFrames(parts...)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var body struct{ Error string }
+		json.NewDecoder(resp.Body).Decode(&body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(body.Error, strconv.Quote(key)) {
+			t.Errorf("%s?%s: HTTP %d %q, want 400 naming %q", op, query, resp.StatusCode, body.Error, key)
+		}
 	}
 }

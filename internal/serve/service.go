@@ -368,43 +368,38 @@ func (s *Service) handleUnregister(w http.ResponseWriter, r *http.Request) {
 // ---------------------------------------------------------------------
 
 func (s *Service) handleEval(w http.ResponseWriter, r *http.Request) {
-	sess := s.session(r.URL.Query().Get("session"))
+	q := r.URL.Query()
+	sess := s.session(q.Get("session"))
 	if sess == nil {
 		writeErr(w, ErrUnknownSession)
 		return
 	}
-	op := r.PathValue("op")
-	spec, ok := opTable[op]
-	if !ok {
-		writeErr(w, fmt.Errorf("%w: unknown op %q (mul, rotate, conjugate, innersum, dot, c2s, s2c, evalpoly, evalmod, expand)",
-			abcfhe.ErrMalformedWire, op))
-		return
-	}
-	sp := sess.sp
-	bodyCap := int64(spec.maxParts)*(sp.maxPart+4) + 4
-	parts, err := ReadFrames(http.MaxBytesReader(w, r.Body, bodyCap), spec.maxParts, sp.maxPart)
+	q.Del("session")
+	op, err := LookupOp(r.PathValue("op"))
 	if err != nil {
 		writeErr(w, err)
 		return
 	}
-	if len(parts) < spec.minParts {
-		writeErr(w, fmt.Errorf("%w: op %s wants %d frame parts, got %d",
-			abcfhe.ErrMalformedWire, op, spec.minParts, len(parts)))
+	sp := sess.sp
+	n := len(op.Inputs)
+	parts, err := ReadFrames(http.MaxBytesReader(w, r.Body, int64(n)*(sp.maxPart+4)+4), n, sp.maxPart)
+	if err != nil {
+		writeErr(w, err)
 		return
 	}
 	inBytes := 0
 	for _, p := range parts {
 		inBytes += len(p)
 	}
-	run, err := spec.build(sp, r.URL.Query(), parts)
+	run, err := op.build(sp, q, parts)
 	if err != nil {
 		writeErr(w, err)
 		return
 	}
 
 	req := &request{
-		op:        op,
-		needsKeys: spec.needsKeys,
+		op:        op.Name,
+		needsKeys: !op.keyless,
 		ctx:       r.Context(),
 		run:       run,
 		done:      make(chan result, 1),

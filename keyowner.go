@@ -46,7 +46,7 @@ func NewKeyOwner(preset Preset, seedLo, seedHi uint64, opts ...Option) (*KeyOwne
 	}
 	seed := prng.SeedFromUint64s(seedLo, seedHi)
 	sk, pk := ckks.NewKeyGenerator(params, seed).GenKeyPair()
-	return newKeyOwner(params, sk, pk, seed, true), nil
+	return newKeyOwner(params, sk, pk, seed), nil
 }
 
 // NewKeyOwnerFromSecretKey rebuilds a key owner on another machine from
@@ -64,12 +64,12 @@ func NewKeyOwnerFromSecretKey(secretKey []byte, opts ...Option) (*KeyOwner, erro
 		return nil, wireErr(err)
 	}
 	pk := ckks.NewKeyGenerator(params, seed).GenPublicKey(sk)
-	return newKeyOwner(params, sk, pk, seed, true), nil
+	return newKeyOwner(params, sk, pk, seed), nil
 }
 
-func newKeyOwner(params *ckks.Parameters, sk *ckks.SecretKey, pk *ckks.PublicKey, seed [16]byte, owns bool) *KeyOwner {
+func newKeyOwner(params *ckks.Parameters, sk *ckks.SecretKey, pk *ckks.PublicKey, seed [16]byte) *KeyOwner {
 	return &KeyOwner{
-		party:     party{params: params, ownsParams: owns},
+		party:     party{params: params},
 		encoder:   ckks.NewEncoder(params),
 		decryptor: ckks.NewDecryptor(params, sk),
 		secret:    sk,

@@ -20,16 +20,10 @@ import (
 //   - Server — keyless: expands compressed uploads and evaluates.
 //
 // All constructors and methods return typed errors (see errors.go) on
-// misuse; panics are reserved for internal invariants. The legacy Client
-// remains as a deprecated facade composed of the three roles.
+// misuse; panics are reserved for internal invariants.
 
 // Option configures a party at construction.
 type Option func(*config)
-
-// ClientOption is the pre-role name for Option.
-//
-// Deprecated: use Option.
-type ClientOption = Option
 
 type config struct {
 	workers int
@@ -113,8 +107,7 @@ func readEvalKeyBlob(blob []byte) (ckks.ParamSpec, ckks.EvalKeyInfo, error) {
 // SerializeCiphertext, rejection rules in the deserializer) applies to
 // every role by construction.
 type party struct {
-	params     *ckks.Parameters
-	ownsParams bool // false when a Client facade shares its params
+	params *ckks.Parameters
 }
 
 // Slots returns the number of complex message slots (N/2).
@@ -132,11 +125,7 @@ func (p *party) Workers() int { return p.params.Workers() }
 // concurrently — serving-layer teardown reaches it from multiple paths
 // (drain, deferred cleanup, signal handlers), and a second Close is a
 // no-op.
-func (p *party) Close() {
-	if p.ownsParams {
-		p.params.Close()
-	}
-}
+func (p *party) Close() { p.params.Close() }
 
 // SerializeCiphertext encodes ct in the packed 44-bit wire format — the
 // exact byte stream the accelerator's DRAM/wire accounting charges.

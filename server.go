@@ -38,7 +38,7 @@ func NewServer(preset Preset, opts ...Option) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	return newServer(params, true), nil
+	return newServer(params), nil
 }
 
 // NewServerFromEvaluationKeys bootstraps a server from nothing but an
@@ -56,7 +56,7 @@ func NewServerFromEvaluationKeys(evalKeys []byte, opts ...Option) (*Server, *Eva
 	if err != nil {
 		return nil, nil, wireErr(err)
 	}
-	srv := newServer(params, true)
+	srv := newServer(params)
 	evk, err := srv.ImportEvaluationKeys(evalKeys)
 	if err != nil {
 		srv.Close() // release the private lane engine WithWorkers installed
@@ -65,9 +65,9 @@ func NewServerFromEvaluationKeys(evalKeys []byte, opts ...Option) (*Server, *Eva
 	return srv, evk, nil
 }
 
-func newServer(params *ckks.Parameters, owns bool) *Server {
+func newServer(params *ckks.Parameters) *Server {
 	return &Server{
-		party:   party{params: params, ownsParams: owns},
+		party:   party{params: params},
 		eval:    ckks.NewEvaluator(params),
 		encoder: ckks.NewEncoder(params),
 	}
