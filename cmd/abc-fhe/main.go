@@ -126,7 +126,6 @@ func runKeygen(args []string) error {
 	pkPath := fs.String("pk", "pk.key", "output path for the public-key blob")
 	skPath := fs.String("sk", "sk.key", "output path for the secret-key blob (keep private)")
 	workers := fs.Int("workers", 0, "software PNL lanes (0 = GOMAXPROCS, 1 = serial)")
-	backend := fs.String("backend", "", "execution backend: fast or portable (default: $ABCFHE_BACKEND or fast)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -136,7 +135,7 @@ func runKeygen(args []string) error {
 		return err
 	}
 	owner, err := abcfhe.NewKeyOwner(abcfhe.Preset(*preset), lo, hi,
-		abcfhe.WithWorkers(*workers), abcfhe.WithBackend(*backend))
+		abcfhe.WithWorkers(*workers))
 	if err != nil {
 		return err
 	}
@@ -169,7 +168,6 @@ func runEvalKeys(args []string) error {
 	conj := fs.Bool("conjugate", false, "also generate the complex-conjugation key")
 	dftLevels := fs.Int("dft-levels", 0, "also export the rotation set (and conjugation key) for `eval -op c2s|s2c` with this many butterfly groups per direction (0 = none)")
 	workers := fs.Int("workers", 0, "software PNL lanes (0 = GOMAXPROCS, 1 = serial)")
-	backend := fs.String("backend", "", "execution backend: fast or portable (default: $ABCFHE_BACKEND or fast)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -179,7 +177,7 @@ func runEvalKeys(args []string) error {
 		return err
 	}
 	owner, err := abcfhe.NewKeyOwnerFromSecretKey(skBytes,
-		abcfhe.WithWorkers(*workers), abcfhe.WithBackend(*backend))
+		abcfhe.WithWorkers(*workers))
 	if err != nil {
 		return err
 	}
@@ -274,7 +272,6 @@ func runEval(args []string) error {
 		fs.String("out2", "ct.out2.bin", "second output ciphertext file (c2s imaginary half)"),
 	}
 	workers := fs.Int("workers", 0, "software PNL lanes (0 = GOMAXPROCS, 1 = serial)")
-	backend := fs.String("backend", "", "execution backend: fast or portable (default: $ABCFHE_BACKEND or fast)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -309,7 +306,7 @@ func runEval(args []string) error {
 		return err
 	}
 	server, evk, err := abcfhe.NewServerFromEvaluationKeys(evkBytes,
-		abcfhe.WithWorkers(*workers), abcfhe.WithBackend(*backend))
+		abcfhe.WithWorkers(*workers))
 	if err != nil {
 		return err
 	}
@@ -366,7 +363,6 @@ func runEncrypt(args []string) error {
 	seedLo := fs.Uint64("seed-lo", 0, "low 64 bits of this device's randomness seed (default: crypto/rand)")
 	seedHi := fs.Uint64("seed-hi", 0, "high 64 bits of this device's randomness seed (default: crypto/rand)")
 	workers := fs.Int("workers", 0, "software PNL lanes (0 = GOMAXPROCS, 1 = serial)")
-	backend := fs.String("backend", "", "execution backend: fast or portable (default: $ABCFHE_BACKEND or fast)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -387,7 +383,7 @@ func runEncrypt(args []string) error {
 	}
 	// The device role: built from public-key bytes alone.
 	enc, err := abcfhe.NewEncryptor(pkBytes, lo, hi,
-		abcfhe.WithWorkers(*workers), abcfhe.WithBackend(*backend))
+		abcfhe.WithWorkers(*workers))
 	if err != nil {
 		return err
 	}
@@ -422,7 +418,6 @@ func runDecrypt(args []string) error {
 	expect := fs.String("expect", "", "message file to verify the decryption against")
 	tol := fs.Float64("tol", 1e-4, "max |error| allowed with -expect")
 	workers := fs.Int("workers", 0, "software PNL lanes (0 = GOMAXPROCS, 1 = serial)")
-	backend := fs.String("backend", "", "execution backend: fast or portable (default: $ABCFHE_BACKEND or fast)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -432,7 +427,7 @@ func runDecrypt(args []string) error {
 		return err
 	}
 	owner, err := abcfhe.NewKeyOwnerFromSecretKey(skBytes,
-		abcfhe.WithWorkers(*workers), abcfhe.WithBackend(*backend))
+		abcfhe.WithWorkers(*workers))
 	if err != nil {
 		return err
 	}
@@ -515,7 +510,6 @@ func runDemo(args []string) error {
 	preset := fs.String("preset", "Test", "parameter preset: Test, PN13..PN16")
 	slots := fs.Int("slots", 0, "message slots to fill (0 = all)")
 	workers := fs.Int("workers", 0, "software PNL lanes (0 = GOMAXPROCS, 1 = serial)")
-	backend := fs.String("backend", "", "execution backend: fast or portable (default: $ABCFHE_BACKEND or fast)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -524,7 +518,7 @@ func runDemo(args []string) error {
 	// machines: the owner exports a public key, a device encrypts with it,
 	// the server evaluates keylessly, the owner decrypts.
 	owner, err := abcfhe.NewKeyOwner(abcfhe.Preset(*preset), 0x0123456789ABCDEF, 0xFEDCBA9876543210,
-		abcfhe.WithWorkers(*workers), abcfhe.WithBackend(*backend))
+		abcfhe.WithWorkers(*workers))
 	if err != nil {
 		return err
 	}
@@ -533,12 +527,12 @@ func runDemo(args []string) error {
 		return err
 	}
 	device, err := abcfhe.NewEncryptor(pkBytes, 0xD0D0CACA, 0xBEBACAFE,
-		abcfhe.WithWorkers(*workers), abcfhe.WithBackend(*backend))
+		abcfhe.WithWorkers(*workers))
 	if err != nil {
 		return err
 	}
 	server, err := abcfhe.NewServer(abcfhe.Preset(*preset),
-		abcfhe.WithWorkers(*workers), abcfhe.WithBackend(*backend))
+		abcfhe.WithWorkers(*workers))
 	if err != nil {
 		return err
 	}

@@ -15,13 +15,12 @@
 //
 //	abcbench -check -out BENCH_8.json -budget bench_budget.json
 //
-// runs the MulRelin (max level on PN15, under both the portable and fast
-// execution backends), Rotate, linear-transform, DecryptDecode and
-// EncodeEncrypt benchmarks, appends the JSON report to the out file, and
-// exits non-zero when allocs/op or evaluation-key blob bytes regress past
-// the committed budgets — or when the fast backend's fused key switch
-// stops beating the portable staged path, or the BSGS linear transform
-// stops beating naive per-diagonal rotation.
+// runs the MulRelin (max level on PN15), Rotate, linear-transform,
+// polynomial-evaluation, DecryptDecode and EncodeEncrypt benchmarks,
+// appends the JSON report to the out file, and exits non-zero when
+// allocs/op or evaluation-key blob bytes regress past the committed
+// budgets, or when the BSGS linear transform stops beating naive
+// per-diagonal rotation.
 package main
 
 import (

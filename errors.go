@@ -47,21 +47,13 @@ var (
 	// parameter set that cannot host key switching (one without special
 	// primes, rebuilt from a secret-key blob whose spec carries none).
 	ErrGadgetUnsupported = errors.New("abcfhe: key-switching gadget unsupported by parameter set")
-	// ErrUnknownBackend: WithBackend named an execution backend that does
-	// not exist (valid names: "portable", "fast").
-	ErrUnknownBackend = errors.New("abcfhe: unknown execution backend")
 )
 
 // wireErr brands a deserialization failure with ErrMalformedWire while
-// keeping the underlying detail in the chain. Option misuse discovered
-// during the same construction (an unknown backend name) is the caller's
-// mistake, not the blob's — it passes through unbranded.
+// keeping the underlying detail in the chain.
 func wireErr(err error) error {
 	if err == nil {
 		return nil
-	}
-	if errors.Is(err, ErrUnknownBackend) {
-		return err
 	}
 	return fmt.Errorf("%w: %w", ErrMalformedWire, err)
 }

@@ -8,6 +8,8 @@ package abcfhe
 import (
 	"errors"
 	"math"
+	"os"
+	"os/exec"
 	"strings"
 	"testing"
 )
@@ -293,21 +295,6 @@ func TestScaleToleranceSymmetric(t *testing.T) {
 	}
 }
 
-// TestBackendErrorDetail: an unknown backend name must surface
-// ErrUnknownBackend *and* keep ParseBackend's detail — the list of valid
-// names is the one thing the caller needs to fix the call.
-func TestBackendErrorDetail(t *testing.T) {
-	_, err := NewServer(Test, WithBackend("bogus"))
-	if !errors.Is(err, ErrUnknownBackend) {
-		t.Fatalf("sentinel lost: %v", err)
-	}
-	for _, want := range []string{"bogus", "portable", "fast"} {
-		if !strings.Contains(err.Error(), want) {
-			t.Errorf("error %q lost the detail %q", err, want)
-		}
-	}
-}
-
 func TestMalformedCiphertextBytes(t *testing.T) {
 	owner, device, server := threeParties(t, Test, 11, 12)
 	msg := testMsgs(device.Slots(), 1)[0]
@@ -357,5 +344,45 @@ func TestWireBytesLevelErrors(t *testing.T) {
 		if _, err := owner.CompressedWireBytes(level); !errors.Is(err, ErrLevelOutOfRange) {
 			t.Errorf("owner level %d: %v", level, err)
 		}
+	}
+}
+
+// TestStaleBackendEnvIgnored: the kernels have one path, so a leftover
+// ABCFHE_BACKEND — even a name that never existed — must not change
+// anything, least of all panic at construction. The check runs in a fresh
+// process (the test binary re-executed with the variable set), because a
+// process-wide lookup would have fired once at first use.
+func TestStaleBackendEnvIgnored(t *testing.T) {
+	const env = "ABCFHE_BACKEND"
+	if os.Getenv(env) == "bogus" {
+		server, err := NewServer(Test)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer server.Close()
+		owner, err := NewKeyOwner(Test, 1, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer owner.Close()
+		pk, err := owner.ExportPublicKey()
+		if err != nil {
+			t.Fatal(err)
+		}
+		device, err := NewEncryptor(pk, 3, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer device.Close()
+		if _, err := device.EncodeEncrypt(testMsgs(device.Slots(), 1)[0]); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	cmd := exec.Command(os.Args[0], "-test.run=^TestStaleBackendEnvIgnored$", "-test.v")
+	cmd.Env = append(os.Environ(), env+"=bogus")
+	out, err := cmd.CombinedOutput()
+	if err != nil || !strings.Contains(string(out), "--- PASS: TestStaleBackendEnvIgnored") {
+		t.Fatalf("construction under %s=bogus failed (%v):\n%s", env, err, out)
 	}
 }

@@ -2,7 +2,7 @@ package abcfhe
 
 // Public-surface tests of the polynomial-evaluation stack: BSGS Chebyshev
 // evaluation pinned against the plaintext Horner oracle at every preset,
-// the misuse matrix of the new entry points, backend×worker
+// the misuse matrix of the new entry points, worker-count
 // byte-identity, and the PN15 EvalMod-after-CoeffsToSlots round trip with
 // its pinned worst-slot precision floor (the fftfp degree-15 sine
 // surrogate as the oracle).
@@ -271,11 +271,11 @@ func TestEvalPolyMisuse(t *testing.T) {
 	}
 }
 
-// evalPolyBackendRun drives EvalPoly and EvalMod under one (backend,
-// workers) configuration and returns the result bytes.
-func evalPolyBackendRun(t *testing.T, backend string, workers int) map[string][]byte {
+// evalPolyWorkerRun drives EvalPoly and EvalMod with `workers` lanes and
+// returns the result bytes.
+func evalPolyWorkerRun(t *testing.T, workers int) map[string][]byte {
 	t.Helper()
-	opts := []Option{WithWorkers(workers), WithBackend(backend)}
+	opts := []Option{WithWorkers(workers)}
 	owner, device, server := threeParties(t, Test, 0xB571, 0xB572, opts...)
 	defer owner.Close()
 	defer device.Close()
@@ -306,7 +306,7 @@ func evalPolyBackendRun(t *testing.T, backend string, workers int) map[string][]
 	record := func(name string, c *Ciphertext, err error) {
 		t.Helper()
 		if err != nil {
-			t.Fatalf("%s (backend=%s workers=%d): %v", name, backend, workers, err)
+			t.Fatalf("%s (workers=%d): %v", name, workers, err)
 		}
 		blob, err := server.SerializeCiphertext(c)
 		if err != nil {
@@ -322,38 +322,33 @@ func evalPolyBackendRun(t *testing.T, backend string, workers int) map[string][]
 }
 
 // TestEvalPolyBackendWorkerInvariance mirrors the other invariance suites:
-// portable/fast × worker counts 1, 2, 8 must all produce the portable
-// single-worker reference's bytes for evalpoly and evalmod. (The deep
-// PN15 schedule's invariance is pinned by TestPN15EvalModRoundTrip.)
+// worker counts 2 and 8 must produce the single-worker reference's bytes
+// for evalpoly and evalmod. (The deep PN15 schedule's invariance is
+// pinned by TestPN15EvalModRoundTrip.)
 func TestEvalPolyBackendWorkerInvariance(t *testing.T) {
 	if testing.Short() {
-		t.Skip("sweeps 6 full evaluation pipelines")
+		t.Skip("sweeps 3 full evaluation pipelines")
 	}
-	ref := evalPolyBackendRun(t, "portable", 1)
-	for _, backend := range []string{"portable", "fast"} {
-		for _, workers := range []int{1, 2, 8} {
-			if backend == "portable" && workers == 1 {
-				continue
-			}
-			got := evalPolyBackendRun(t, backend, workers)
-			for name, want := range ref {
-				if !bytes.Equal(got[name], want) {
-					t.Fatalf("%s: bytes diverge under backend=%s workers=%d", name, backend, workers)
-				}
+	ref := evalPolyWorkerRun(t, 1)
+	for _, workers := range []int{2, 8} {
+		got := evalPolyWorkerRun(t, workers)
+		for name, want := range ref {
+			if !bytes.Equal(got[name], want) {
+				t.Fatalf("%s: bytes diverge under workers=%d", name, workers)
 			}
 		}
 	}
 }
 
 // pn15EvalModRun executes the bootstrap nonlinear stage at PN15 under one
-// (backend, workers) configuration: encrypt, CoeffsToSlots, EvalMod on
+// lane count: encrypt, CoeffsToSlots, EvalMod on
 // both coefficient halves, compare each against fftfp.SinSurrogate
 // applied to the decrypted CoeffsToSlots outputs (so the measurement
 // isolates EvalMod's own noise), and return the result blobs plus the
 // worst-slot error across both halves.
-func pn15EvalModRun(t *testing.T, backend string, workers int) (blobs map[string][]byte, worst float64) {
+func pn15EvalModRun(t *testing.T, workers int) (blobs map[string][]byte, worst float64) {
 	t.Helper()
-	opts := []Option{WithWorkers(workers), WithBackend(backend)}
+	opts := []Option{WithWorkers(workers)}
 	owner, device, server := threeParties(t, PN15, 0x9F25, 0x9F26, opts...)
 	defer owner.Close()
 	defer device.Close()
@@ -430,7 +425,7 @@ func pn15EvalModRun(t *testing.T, backend string, workers int) (blobs map[string
 // paper-scale PN15 preset, the degree-15 sine-surrogate EvalMod applied
 // after CoeffsToSlots must track the fftfp plaintext oracle with at least
 // pn15EvalModFloorBits bits of worst-slot precision, byte-identical
-// across backends and worker counts (portable/1 vs fast/8).
+// across worker counts (1 vs 8).
 func TestPN15EvalModRoundTrip(t *testing.T) {
 	if testing.Short() {
 		t.Skip("paper-scale preset round trip")
@@ -440,20 +435,20 @@ func TestPN15EvalModRoundTrip(t *testing.T) {
 	// schedule's scale bookkeeping or the key-switch noise path land here.
 	const pn15EvalModFloorBits = 20.0
 
-	ref, errPortable := pn15EvalModRun(t, "portable", 1)
-	bits := -math.Log2(errPortable)
-	t.Logf("PN15 C2S→EvalMod worst-slot error %.3g (%.1f bits)", errPortable, bits)
+	ref, errSerial := pn15EvalModRun(t, 1)
+	bits := -math.Log2(errSerial)
+	t.Logf("PN15 C2S→EvalMod worst-slot error %.3g (%.1f bits)", errSerial, bits)
 	if bits < pn15EvalModFloorBits {
 		t.Fatalf("EvalMod precision %.1f bits, floor %g", bits, pn15EvalModFloorBits)
 	}
 
-	got, errFast := pn15EvalModRun(t, "fast", 8)
-	if errFast != errPortable {
-		t.Fatalf("EvalMod error differs across backends: %g vs %g", errFast, errPortable)
+	got, errParallel := pn15EvalModRun(t, 8)
+	if errParallel != errSerial {
+		t.Fatalf("EvalMod error differs across worker counts: %g vs %g", errParallel, errSerial)
 	}
 	for name, want := range ref {
 		if !bytes.Equal(got[name], want) {
-			t.Fatalf("%s half: bytes diverge between portable/1 and fast/8", name)
+			t.Fatalf("%s half: bytes diverge between workers 1 and 8", name)
 		}
 	}
 }

@@ -1,14 +1,12 @@
 // Benchmark-regression gate (the `abcbench -check` mode CI runs): execute
-// the key-switch and client-pipeline benchmarks under both execution
-// backends, append a machine-readable report to BENCH_8.json, and fail
-// when an allocation count or evaluation-key blob size regresses past the
-// budgets committed in bench_budget.json.
+// the key-switch and client-pipeline benchmarks, append a machine-readable
+// report to BENCH_8.json, and fail when an allocation count or
+// evaluation-key blob size regresses past the budgets committed in
+// bench_budget.json.
 //
-// Wall-clock numbers are recorded but only gated *relatively* — the fast
-// backend's fused pipeline must beat the portable staged one on the same
-// op (the claim the backend seam exists for), and the BSGS linear
-// transform must beat naive per-diagonal rotation. Absolute ns/op budgets
-// would flap with CI hardware, while allocs/op and wire bytes are
+// Wall-clock numbers are recorded but only gated *relatively* — the BSGS
+// linear transform must beat naive per-diagonal rotation. Absolute ns/op
+// budgets would flap with CI hardware, while allocs/op and wire bytes are
 // deterministic.
 
 package bench
@@ -25,7 +23,6 @@ import (
 
 	"repro/internal/ckks"
 	"repro/internal/fftfp"
-	"repro/internal/lanes"
 	"repro/internal/prng"
 )
 
@@ -42,10 +39,12 @@ type BenchRecord struct {
 // RunBenchCheck appends rather than overwrites, so a committed baseline
 // survives CI re-runs and speedups stay comparable across PRs.
 type BenchReport struct {
-	GoVersion string        `json:"go_version"`
-	GOARCH    string        `json:"goarch"`
-	Backends  []string      `json:"backends,omitempty"`
-	Records   []BenchRecord `json:"records"`
+	GoVersion string `json:"go_version"`
+	GOARCH    string `json:"goarch"`
+	// Backends is set only on reports from before the kernels had a single
+	// path; it is kept so re-appending the trajectory preserves them.
+	Backends []string      `json:"backends,omitempty"`
+	Records  []BenchRecord `json:"records"`
 }
 
 // budgetEntry is one committed ceiling in bench_budget.json, keyed by op.
@@ -233,7 +232,6 @@ func RunBenchCheck(outPath, budgetPath string, w io.Writer) error {
 	report := BenchReport{
 		GoVersion: runtime.Version(),
 		GOARCH:    runtime.GOARCH,
-		Backends:  []string{lanes.Portable.Name(), lanes.Fast.Name()},
 	}
 	add := func(r BenchRecord) {
 		report.Records = append(report.Records, r)
@@ -246,11 +244,7 @@ func RunBenchCheck(outPath, budgetPath string, w io.Writer) error {
 	}
 
 	// --- Client pipeline (Test preset): EncodeEncrypt / DecryptDecode ---
-	// Pinned to the fast backend regardless of ABCFHE_BACKEND so the
-	// committed budgets gate one configuration, not whatever the CI
-	// environment happens to export.
 	pTest := ckks.TestParams.MustBuild()
-	pTest.SetBackend(lanes.Fast)
 	kgT := ckks.NewKeyGenerator(pTest, gateSeed())
 	skT, pkT := kgT.GenKeyPair()
 	encT := ckks.NewEncoder(pTest)
@@ -277,36 +271,23 @@ func RunBenchCheck(outPath, budgetPath string, w io.Writer) error {
 		}
 	})))
 
-	// --- Rotations (Test preset, max level) under both backends.
-	// Key material and ciphertext bytes are backend-independent, so one
-	// key serves both measurements; only the execution strategy flips.
-	// The portable run keeps the historical op name for budget continuity;
-	// the fast run exercises the fused key-switch pipeline. Each op runs
-	// once before its benchmark: ops near or above benchtime report a
-	// b.N=1 round, and an unwarmed round would charge the one-time pool
-	// population to allocs/op — the budgets gate the steady state.
+	// --- Rotation (Test preset, max level) on the fused key-switch
+	// pipeline. Each op runs once before its benchmark: ops near or above
+	// benchtime report a b.N=1 round, and an unwarmed round would charge
+	// the one-time pool population to allocs/op — the budgets gate the
+	// steady state.
 	ctT := encryptorT.Encrypt(encT.Encode(msgT))
 	g1 := pTest.GaloisElement(1)
 	rotHy := kgT.GenRotationKeyHybridAt(g1, pTest.MaxLevel())
-	pTest.SetBackend(lanes.Portable)
 	evT.RotateGalois(ctT, rotHy)
-	rotPort := testing.Benchmark(func(b *testing.B) {
+	add(record("RotateHybridFused", testing.Benchmark(func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			evT.RotateGalois(ctT, rotHy)
 		}
-	})
-	add(record("RotateHybrid", rotPort))
-	pTest.SetBackend(lanes.Fast)
-	evT.RotateGalois(ctT, rotHy)
-	rotFused := testing.Benchmark(func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			evT.RotateGalois(ctT, rotHy)
-		}
-	})
-	add(record("RotateHybridFused", rotFused))
+	})))
 
 	// --- BSGS linear transform vs naive per-diagonal rotation (Test
-	// preset, fast backend): the structural claim the blocked baby-step/
+	// preset): the structural claim the blocked baby-step/
 	// giant-step schedule exists for. A 12-diagonal band at n1=8 pays one
 	// shared hoisted decomposition for all seven baby steps plus one giant
 	// key switch, where the naive schedule pays eleven independent
@@ -349,10 +330,8 @@ func RunBenchCheck(outPath, budgetPath string, w io.Writer) error {
 	})
 	add(record("LinearTransformNaive", naiveBench))
 
-	// --- The headline: MulRelin at max level on PN15 under both backends
-	// (staged portable vs fused fast) ---
+	// --- The headline: MulRelin at max level on PN15 ---
 	p15 := ckks.PN15.MustBuild()
-	p15.SetBackend(lanes.Fast)
 	kg15 := ckks.NewKeyGenerator(p15, gateSeed())
 	sk15, pk15 := kg15.GenKeyPair()
 	enc15 := ckks.NewEncoder(p15)
@@ -366,22 +345,12 @@ func RunBenchCheck(outPath, budgetPath string, w io.Writer) error {
 	// overhead) dominates.
 	fmt.Fprintln(w, "generating PN15 hybrid rotation key (max depth)…")
 	rot15 := kg15.GenRotationKeyHybridAt(p15.GaloisElement(1), p15.MaxLevel())
-	p15.SetBackend(lanes.Portable)
 	ev15.RotateGalois(ct15, rot15)
-	rot15Port := testing.Benchmark(func(b *testing.B) {
+	add(record("RotateHybridFusedPN15", testing.Benchmark(func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			ev15.RotateGalois(ct15, rot15)
 		}
-	})
-	add(record("RotateHybridPN15", rot15Port))
-	p15.SetBackend(lanes.Fast)
-	ev15.RotateGalois(ct15, rot15)
-	rot15Fused := testing.Benchmark(func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			ev15.RotateGalois(ct15, rot15)
-		}
-	})
-	add(record("RotateHybridFusedPN15", rot15Fused))
+	})))
 	rot15 = nil
 	runtime.GC()
 
@@ -404,25 +373,15 @@ func RunBenchCheck(outPath, budgetPath string, w io.Writer) error {
 
 	fmt.Fprintln(w, "generating PN15 hybrid relinearization key (max depth)…")
 	rlkHy := kg15.GenRelinearizationKeyHybridAt(p15.MaxLevel())
-	p15.SetBackend(lanes.Portable)
 	ev15.MulRelin(ct15, ct15, rlkHy)
-	hyPortBench := testing.Benchmark(func(b *testing.B) {
+	add(record("MulRelinHybridPN15Fused", testing.Benchmark(func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			ev15.MulRelin(ct15, ct15, rlkHy)
 		}
-	})
-	add(record("MulRelinHybridPN15", hyPortBench))
-	p15.SetBackend(lanes.Fast)
-	ev15.MulRelin(ct15, ct15, rlkHy)
-	hyFusedBench := testing.Benchmark(func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			ev15.MulRelin(ct15, ct15, rlkHy)
-		}
-	})
-	add(record("MulRelinHybridPN15Fused", hyFusedBench))
+	})))
 
-	// --- Polynomial evaluation at paper scale (fast backend, reusing the
-	// max-depth relinearization key): the BSGS Chebyshev schedule on a
+	// --- Polynomial evaluation at paper scale (reusing the max-depth
+	// relinearization key): the BSGS Chebyshev schedule on a
 	// generic degree-7 polynomial at its minimum level, and the degree-15
 	// sine-surrogate EvalMod at level 15 — the bootstrap's post-
 	// CoeffsToSlots stage the round-trip precision test pins.
@@ -474,21 +433,6 @@ func RunBenchCheck(outPath, budgetPath string, w io.Writer) error {
 
 	// --- Relative gates ---
 	var failures []string
-	if hyFusedBench.NsPerOp() >= hyPortBench.NsPerOp() {
-		failures = append(failures, fmt.Sprintf(
-			"fused MulRelin on the fast backend (%d ns/op) does not beat the portable staged path (%d ns/op)",
-			hyFusedBench.NsPerOp(), hyPortBench.NsPerOp()))
-	}
-	if rotFused.NsPerOp() >= rotPort.NsPerOp() {
-		failures = append(failures, fmt.Sprintf(
-			"fused Rotate on the fast backend (%d ns/op) does not beat the portable staged path (%d ns/op)",
-			rotFused.NsPerOp(), rotPort.NsPerOp()))
-	}
-	if rot15Fused.NsPerOp() >= rot15Port.NsPerOp() {
-		failures = append(failures, fmt.Sprintf(
-			"fused Rotate on the fast backend (%d ns/op) does not beat the portable staged path (%d ns/op) on PN15",
-			rot15Fused.NsPerOp(), rot15Port.NsPerOp()))
-	}
 	if bsgsBench.NsPerOp() >= naiveBench.NsPerOp() {
 		failures = append(failures, fmt.Sprintf(
 			"BSGS linear transform (%d ns/op) does not beat naive per-diagonal rotations (%d ns/op)",

@@ -12,13 +12,10 @@ func testReport() BenchReport {
 	return BenchReport{Records: []BenchRecord{
 		{Op: "EncodeEncrypt", AllocsPerOp: 51},
 		{Op: "DecryptDecode", AllocsPerOp: 23},
-		{Op: "RotateHybrid", AllocsPerOp: 49},
 		{Op: "RotateHybridFused", AllocsPerOp: 89},
 		{Op: "LinearTransformBSGS", AllocsPerOp: 355},
 		{Op: "LinearTransformNaive", AllocsPerOp: 727},
-		{Op: "RotateHybridPN15", AllocsPerOp: 72},
 		{Op: "RotateHybridFusedPN15", AllocsPerOp: 299},
-		{Op: "MulRelinHybridPN15", AllocsPerOp: 92},
 		{Op: "MulRelinHybridPN15Fused", AllocsPerOp: 319},
 		{Op: "CoeffsToSlotsPN15", AllocsPerOp: 3444},
 		{Op: "EvalPolyPN15", AllocsPerOp: 1128},
@@ -113,6 +110,20 @@ func TestLastReport(t *testing.T) {
 	prev, ok := lastReport(path)
 	if !ok || prev.GoVersion != "go1.2" || prev.Records[0].NsPerOp != 90 {
 		t.Fatalf("baseline is not the last appended report: ok=%v prev=%+v", ok, prev)
+	}
+}
+
+// TestCommittedTrajectoriesLoad: every committed BENCH_*.json — including
+// reports that still carry a "backends" list — parses as a baseline.
+func TestCommittedTrajectoriesLoad(t *testing.T) {
+	paths, err := filepath.Glob(filepath.Join("..", "..", "BENCH_*.json"))
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("no committed trajectories found: %v", err)
+	}
+	for _, path := range paths {
+		if prev, ok := lastReport(path); !ok || len(prev.Records) == 0 {
+			t.Errorf("%s does not load as a baseline", path)
+		}
 	}
 }
 

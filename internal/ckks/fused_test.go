@@ -1,84 +1,35 @@
 package ckks
 
-// Backend-seam tests: the portable and fast backends must produce
-// byte-identical ciphertexts for every operation (the lanes.Backend
-// contract), and the fused hybrid key-switch pipeline must match the
-// staged path exactly — fused vs staged under one backend isolates the
-// fusion, portable vs fast over whole ops covers the kernels.
+// Key-switch pipeline oracles: the fused hybrid pipeline (production)
+// must match the staged pipeline (hoist → apply → ModDown, one dispatch
+// per stage) byte for byte. The staged hoist lives here, as the
+// reference the fused one is checked against.
 
 import (
 	"testing"
 
-	"repro/internal/lanes"
 	"repro/internal/prng"
 	"repro/internal/ring"
 )
 
-// backendPair builds two identical parameter sets bound to the portable
-// and fast backends.
-func backendPair() (pPort, pFast *Parameters) {
-	pPort = TestParams.MustBuild()
-	pPort.SetBackend(lanes.Portable)
-	pFast = TestParams.MustBuild()
-	pFast.SetBackend(lanes.Fast)
-	return pPort, pFast
+// hoistHybrid decomposes c (coefficient domain, `level` limbs) stage by
+// stage: per group, one ModUp to the extended QP basis (rns.Extender fast
+// base conversion, chunked across the lanes) and one NTT sweep.
+func (p *Parameters) hoistHybrid(c *ring.Poly, level int) *hoistedDigits {
+	rqp := p.RingQPAt(level)
+	beta := p.DnumAt(level)
+	h := &hoistedDigits{level: level, dig: make([]*ring.Poly, beta)}
+	for j := 0; j < beta; j++ {
+		lo, hi := p.groupRange(level, j)
+		d := rqp.GetPolyUninit() // the extension writes every word
+		rqp.ModUpInto(p.groupExtender(level, j), c.Coeffs[lo:hi], d)
+		rqp.NTT(d)
+		h.dig[j] = d
+	}
+	return h
 }
 
-func requireSameCT(t *testing.T, r *ring.Ring, what string, a, b *Ciphertext) {
-	t.Helper()
-	if a.Level != b.Level || a.Scale != b.Scale {
-		t.Fatalf("%s: level/scale diverge across backends", what)
-	}
-	if !r.Equal(a.C0, b.C0) || !r.Equal(a.C1, b.C1) {
-		t.Fatalf("%s: ciphertext bytes diverge across backends", what)
-	}
-}
-
-// TestBackendEquivalence: the full client+server pipeline — encrypt,
-// MulRelin (fused on fast), rotation (fused), hoisted rotations,
-// rescale — is byte-identical across backends.
-func TestBackendEquivalence(t *testing.T) {
-	pPort, pFast := backendPair()
-	msg1 := randMsg(pPort, 0, 301)
-	msg2 := randMsg(pPort, 0, 302)
-
-	type run struct {
-		enc, mul, rotHy, hoist0, hoist1 *Ciphertext
-	}
-	exec := func(p *Parameters) run {
-		kg := NewKeyGenerator(p, testSeed())
-		_, pk := kg.GenKeyPair()
-		enc := NewEncoder(p)
-		encryptor := NewEncryptor(p, pk, testSeed())
-		ev := NewEvaluator(p)
-		ct1 := encryptor.Encrypt(enc.Encode(msg1))
-		ct2 := encryptor.Encrypt(enc.Encode(msg2))
-
-		rlk := kg.GenRelinearizationKeyHybridAt(p.MaxLevel())
-		mul := ev.Rescale(ev.MulRelin(ct1, ct2, rlk))
-
-		rkHy := kg.GenRotationKeyHybridAt(p.GaloisElement(3), p.MaxLevel())
-		rkHy2 := kg.GenRotationKeyHybridAt(p.GaloisElement(5), p.MaxLevel())
-		hoisted := ev.RotateHoisted(ct1, []*RotationKey{rkHy, rkHy2})
-		return run{
-			enc:    ct1,
-			mul:    mul,
-			rotHy:  ev.RotateGalois(ct1, rkHy),
-			hoist0: hoisted[0],
-			hoist1: hoisted[1],
-		}
-	}
-	a, b := exec(pPort), exec(pFast)
-	r := pPort.Ring()
-	requireSameCT(t, r, "encrypt", a.enc, b.enc)
-	requireSameCT(t, r, "hybrid MulRelin+Rescale", a.mul, b.mul)
-	requireSameCT(t, r, "hybrid RotateGalois", a.rotHy, b.rotHy)
-	requireSameCT(t, r, "hoisted rotation[0]", a.hoist0, b.hoist0)
-	requireSameCT(t, r, "hoisted rotation[1]", a.hoist1, b.hoist1)
-}
-
-// stagedSwitch runs the pre-fusion pipeline explicitly (hoist → apply →
-// closing INTTs), regardless of the ring's backend.
+// stagedSwitch runs the staged pipeline (hoist → apply → closing INTTs).
 func stagedSwitch(p *Parameters, c *ring.Poly, level int, ksk *SwitchingKey, perm []int32) (*ring.Poly, *ring.Poly) {
 	rl := p.RingAt(level)
 	out0 := rl.NewPoly()
@@ -152,7 +103,6 @@ func TestFusedHoistMatchesStaged(t *testing.T) {
 // digit buffer (β·(L+k)·N words) or accumulator storage.
 func TestFusedSwitchAllocs(t *testing.T) {
 	p := TestParams.MustBuild()
-	p.SetBackend(lanes.Fast)
 	kg := NewKeyGenerator(p, testSeed())
 	rlk := kg.GenRelinearizationKeyHybridAt(p.MaxLevel())
 	level := p.MaxLevel()

@@ -34,9 +34,9 @@ import (
 // (ModUp and its NTTs) is computed once per input ciphertext, and each
 // Galois element is applied to the decomposed digits as an NTT-domain
 // gather permutation — rotating one ciphertext by many steps pays the
-// decomposition once (see Evaluator.RotateHoisted). On the specialized
-// backend the single-switch case runs the fused pipeline instead
-// (keyswitch_fused.go); the staged path here is its portable reference.
+// decomposition once (see Evaluator.RotateHoisted). The single-switch
+// case (MulRelin, RotateGalois) runs the fused pipeline of
+// keyswitch_fused.go instead, which never materializes the digits.
 
 // Gadget is the key-switching decomposition byte of the evaluation-key
 // wire format (evalkeyserialize.go). Hybrid is the only construction; the
@@ -113,35 +113,6 @@ func (kg *KeyGenerator) genHybridSwitchingKey(sQP, fQP *ring.Poly, depth int, st
 type hoistedDigits struct {
 	dig   []*ring.Poly
 	level int
-}
-
-// hoistHybrid decomposes c (coefficient domain, `level` limbs) into its
-// β = ⌈level/α⌉ group digits, each raised to the extended QP basis
-// (rns.Extender fast base conversion, chunked across the lanes) and
-// transformed — β·(level+k) NTTs, paid once per input ciphertext however
-// many switches consume it.
-func (p *Parameters) hoistHybrid(c *ring.Poly, level int) *hoistedDigits {
-	rqp := p.RingQPAt(level)
-	beta := p.DnumAt(level)
-	h := &hoistedDigits{level: level, dig: make([]*ring.Poly, beta)}
-	for j := 0; j < beta; j++ {
-		lo, hi := p.groupRange(level, j)
-		d := rqp.GetPolyUninit() // the extension writes every word
-		rqp.ModUpInto(p.groupExtender(level, j), c.Coeffs[lo:hi], d)
-		rqp.NTT(d)
-		h.dig[j] = d
-	}
-	return h
-}
-
-// hoist runs the decomposition on the parameter set's backend: the fused
-// hoist on the specialized backend, the staged reference otherwise (both
-// produce the same bytes).
-func (p *Parameters) hoist(c *ring.Poly, level int) *hoistedDigits {
-	if p.useFused() {
-		return p.hoistHybridFused(c, level)
-	}
-	return p.hoistHybrid(c, level)
 }
 
 // releaseDigits returns the decomposition's pooled storage.
@@ -279,23 +250,12 @@ func (ev *Evaluator) mulRelinUnchecked(a, b *Ciphertext, rlk *RelinearizationKey
 	rl.PutPoly(b0)
 	rl.PutPoly(b1)
 
-	// Key-switch c2 (the decomposition reads the coefficient domain), then
-	// accumulate directly into the result halves. The fast backend runs
-	// the switch fused (closing INTTs folded into its last stage); the
-	// staged path is the portable reference.
+	// Key-switch c2 (the decomposition reads the coefficient domain),
+	// accumulating directly into the result halves; the closing INTTs are
+	// folded into the fused pipeline's last stage.
 	rl.INTT(c2)
-	if ev.params.useFused() {
-		ev.params.switchHybridFused(c2, level, rlk.K, nil, c0, c1, true)
-		rl.PutPoly(c2)
-		return &Ciphertext{C0: c0, C1: c1, Level: level, Scale: a.Scale * b.Scale}
-	}
-	h := ev.params.hoistHybrid(c2, level)
+	ev.params.switchHybridFused(c2, level, rlk.K, nil, c0, c1, true)
 	rl.PutPoly(c2)
-	ev.params.applyHybridInto(h, rlk.K, nil, c0, c1)
-	ev.params.releaseDigits(h)
-
-	rl.INTT(c0)
-	rl.INTT(c1)
 	return &Ciphertext{C0: c0, C1: c1, Level: level, Scale: a.Scale * b.Scale}
 }
 
@@ -378,23 +338,11 @@ func (kg *KeyGenerator) GenRotationKeyHybridAt(g, depth int) *RotationKey {
 
 // RotateGalois applies the automorphism X → X^g and key-switches back to
 // s. With g = GaloisElement(k) this rotates the message slots by k. The
-// key switch runs on hoisted digits (the single-rotation degenerate case
-// of RotateHoisted); σ(c0) is applied in the coefficient domain.
+// key switch runs on the fused pipeline: the hoisted digits are never
+// materialized (nothing reuses them for a single rotation), the permuted
+// switch lands directly in the result halves, and the closing INTTs ride
+// the divide stage; σ(c0) is applied in the coefficient domain.
 func (ev *Evaluator) RotateGalois(ct *Ciphertext, rk *RotationKey) *Ciphertext {
-	if ev.params.useFused() {
-		return ev.rotateFused(ct, rk)
-	}
-	h := ev.params.hoistHybrid(ct.C1, ct.Level)
-	out := ev.rotateFromDigits(ct, h, rk)
-	ev.params.releaseDigits(h)
-	return out
-}
-
-// rotateFused is RotateGalois on the fused pipeline: the hoisted digits
-// are never materialized (single-rotation case — nothing reuses them),
-// the permuted switch lands directly in the result halves, and the
-// closing INTTs ride the divide stage.
-func (ev *Evaluator) rotateFused(ct *Ciphertext, rk *RotationKey) *Ciphertext {
 	level := ct.Level
 	if level > rk.K.Level {
 		panic("ckks: ciphertext level exceeds rotation-key depth")
@@ -421,7 +369,7 @@ func (ev *Evaluator) RotateHoisted(ct *Ciphertext, rks []*RotationKey) []*Cipher
 	if len(rks) == 0 {
 		return nil
 	}
-	h := ev.params.hoist(ct.C1, ct.Level)
+	h := ev.params.hoistHybridFused(ct.C1, ct.Level)
 	out := make([]*Ciphertext, len(rks))
 	for i, rk := range rks {
 		out[i] = ev.rotateFromDigits(ct, h, rk)

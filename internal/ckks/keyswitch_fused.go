@@ -1,7 +1,8 @@
 package ckks
 
-// Fused hybrid key switching — the fast backend's pipeline. The staged
-// path (hoistHybrid → applyHybridInto → modDownInto) pays one lane
+// Fused hybrid key switching — the production pipeline. The staged
+// path (hoistHybrid → applyHybridInto → modDownInto, the first kept as a
+// test oracle in fused_test.go) pays one lane
 // dispatch per stage: β ModUps, β NTT sweeps, the MAC, then per half an
 // INTT sweep, a ModUp, an NTT sweep and the divide — ~13–16 barriers, and
 // a β-polynomial hoisted-digit buffer of (level+k)·N words between the
@@ -22,29 +23,21 @@ package ckks
 //	            fused (acc − ext)·P⁻¹ accumulate, and optionally the
 //	            closing inverse NTT of the output limb.
 //
-// Byte identity with the staged path (and so with the portable backend)
-// holds stage by stage: ReduceRange + CombineLimb reproduce ExtendRange's
-// arithmetic in the same order (including the float64 v accumulation),
-// the per-limb NTT is the same backend-bound kernel the staged sweep
-// runs, and the MAC accumulates groups in the same ascending order with
-// the same per-element a0-then-a1 sequence. Chunk and task boundaries are
-// execution details — every kernel is pure per-coefficient arithmetic
-// over disjoint outputs, so any partition computes the same bytes
-// (TestFusedMatchesStaged and the cross-backend property tests assert
-// this end to end).
+// Byte identity with the staged path holds stage by stage: ReduceRange +
+// CombineLimb reproduce ExtendRange's arithmetic in the same order
+// (including the float64 v accumulation), the per-limb NTT is the same
+// kernel the staged sweep runs, and the MAC accumulates groups in the
+// same ascending order with the same per-element a0-then-a1 sequence.
+// Chunk and task boundaries are execution details — every kernel is pure
+// per-coefficient arithmetic over disjoint outputs, so any partition
+// computes the same bytes (TestFusedMatchesStaged and
+// FuzzFusedHybridSwitch assert this end to end).
 
 import (
 	"repro/internal/lanes"
 	"repro/internal/ring"
 	"repro/internal/rns"
 )
-
-// useFused reports whether key switches run the fused pipeline, which
-// they do on the specialized backend. The portable backend keeps the
-// staged path — it is the oracle fused output is checked against.
-func (p *Parameters) useFused() bool {
-	return p.ringQ.Backend().Specialized()
-}
 
 // fusedChunks mirrors lanes.RunChunks' oversubscribed carve so the chunk
 // stages load-balance the same way: ~4 chunks per worker, capped at n.
@@ -193,12 +186,16 @@ func (p *Parameters) switchHybridFused(c *ring.Poly, level int, ksk *SwitchingKe
 	rqp.PutPoly(s1)
 }
 
-// hoistHybridFused is hoistHybrid collapsed to two dispatches: one
-// reduce stage over (group, chunk) tasks and one combine+NTT stage over
-// extended-basis limbs writing every group's digit row for that limb.
-// Same bytes as hoistHybrid (same kernels, same order); used by
-// RotateHoisted on the fast backend, where the digits must be
-// materialized because many Galois elements reuse them.
+// hoistHybridFused decomposes c (coefficient domain, `level` limbs) into
+// its β = ⌈level/α⌉ group digits, each raised to the extended QP basis and
+// transformed — β·(level+k) NTTs, paid once per input ciphertext however
+// many switches consume it. It is the staged per-group hoist (hoistHybrid
+// in fused_test.go) collapsed to two dispatches: one reduce stage over
+// (group, chunk) tasks and one combine+NTT stage over extended-basis limbs
+// writing every group's digit row for that limb — same kernels, same
+// order, same bytes. RotateHoisted and the linear transforms use it, where
+// the digits must be materialized because many Galois elements reuse
+// them.
 func (p *Parameters) hoistHybridFused(c *ring.Poly, level int) *hoistedDigits {
 	n := p.N()
 	k := p.SpecialLimbs

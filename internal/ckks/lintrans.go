@@ -251,7 +251,7 @@ func (ev *Evaluator) LinearTransform(ct *Ciphertext, lt *LinearTransform, rot ma
 			panic("ckks: missing baby-step rotation key")
 		}
 		if h == nil {
-			h = p.hoist(ct.C1, level)
+			h = p.hoistHybridFused(ct.C1, level)
 		}
 		b0, b1 := rl.GetPoly(), rl.GetPoly()
 		b0.IsNTT, b1.IsNTT = true, true
@@ -295,7 +295,7 @@ func (ev *Evaluator) LinearTransform(ct *Ciphertext, lt *LinearTransform, rot ma
 		// switched half accumulates directly (applyHybridInto adds), σ_g of
 		// the acc0 half is a pure NTT-domain gather.
 		rl.INTT(acc1) // the decomposition reads the coefficient domain
-		hg := p.hoist(acc1, level)
+		hg := p.hoistHybridFused(acc1, level)
 		p.applyHybridInto(hg, rk.K, rk.Perm, final0, final1)
 		p.releaseDigits(hg)
 		tmp := rl.GetPolyUninit()

@@ -66,12 +66,11 @@ type Parameters struct {
 	// (q_0..q_{ℓ-1}, p_0..p_{k-1} is not a prefix of any single chain, so
 	// level views cannot ride rns.Basis.Sub) and the basis extenders for
 	// decomposition groups and for the ModDown P→Q_ℓ conversion.
-	hybridMu   sync.Mutex
-	qpRings    map[int]*ring.Ring       // level → QP ring view
-	grpExt     map[[2]int]*rns.Extender // (level, group) → group → QP_ℓ extender
-	pExt       map[int]*rns.Extender    // level → P → Q_ℓ extender
-	curEng     *lanes.Engine            // engine mirrored onto lazily created views
-	curBackend lanes.Backend            // backend mirrored onto lazily created views
+	hybridMu sync.Mutex
+	qpRings  map[int]*ring.Ring       // level → QP ring view
+	grpExt   map[[2]int]*rns.Extender // (level, group) → group → QP_ℓ extender
+	pExt     map[int]*rns.Extender    // level → P → Q_ℓ extender
+	curEng   *lanes.Engine            // engine mirrored onto lazily created views
 }
 
 // Preset parameter sets.
@@ -217,10 +216,6 @@ func (s ParamSpec) Build() (*Parameters, error) {
 			p.pInvModQ[i] = m.Inv(prod)
 		}
 	}
-	// Bind every ring to the process-default backend ($ABCFHE_BACKEND or
-	// fast). SetBackend overrides per instance; results are byte-identical
-	// either way — backends only change the inner loops kernels run.
-	p.setBackendAll(lanes.DefaultBackend())
 	return p, nil
 }
 
@@ -300,35 +295,6 @@ func (p *Parameters) setEngineAll(e *lanes.Engine) {
 // Workers reports the current lane count.
 func (p *Parameters) Workers() int { return p.ringQ.Engine().Workers() }
 
-// SetBackend rebinds every limb kernel of this parameter set to b — the
-// execution-strategy sibling of SetWorkers. The portable backend is the
-// spec-shaped reference; the fast backend runs fixed-width Barrett and
-// lazy-reduction inner loops plus the fused hybrid key-switch pipeline.
-// Outputs are byte-identical under either (and at any worker count); call
-// before sharing the parameters across goroutines.
-func (p *Parameters) SetBackend(b lanes.Backend) { p.setBackendAll(b) }
-
-// setBackendAll installs b on the full ring, every cached level view, the
-// special-prime ring, and any extended-basis views built so far (views
-// built later inherit it through curBackend).
-func (p *Parameters) setBackendAll(b lanes.Backend) {
-	for _, rl := range p.levels {
-		rl.SetBackend(b)
-	}
-	if p.ringP != nil {
-		p.ringP.SetBackend(b)
-	}
-	p.hybridMu.Lock()
-	p.curBackend = b
-	for _, r := range p.qpRings {
-		r.SetBackend(b)
-	}
-	p.hybridMu.Unlock()
-}
-
-// Backend reports the backend the parameter set's kernels are bound to.
-func (p *Parameters) Backend() lanes.Backend { return p.ringQ.Backend() }
-
 // Close releases any private lane engine installed by SetWorkers. Safe to
 // call on parameters that never configured one, to call more than once,
 // and to call from multiple goroutines at once — the serving layer's
@@ -397,7 +363,6 @@ func (p *Parameters) RingQPAt(level int) *ring.Ring {
 	tables := append(append([]*ntt.Table(nil), p.ringQ.Tables[:level]...), p.ringP.Tables...)
 	r := &ring.Ring{N: p.N(), LogN: p.LogN, Basis: rns.MustBasis(primes), Tables: tables}
 	r.SetEngine(p.curEng)
-	r.SetBackend(p.curBackend)
 	if p.qpRings == nil {
 		p.qpRings = make(map[int]*ring.Ring)
 	}

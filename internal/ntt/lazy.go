@@ -5,10 +5,10 @@ package ntt
 // while the datapath is 44 bits wide (paper §III), so butterfly outputs
 // can stay in extended ranges across stages, skipping the conditional
 // corrections; a single final pass normalizes into [0, q). These are the
-// kernels the fast lanes backend binds NTT Forward/Inverse to — the
-// portable Forward/Inverse in ntt.go remain the spec-shaped oracle, and
-// both produce byte-identical canonical output (asserted by
-// TestForwardLazyMatchesForward / TestInverseLazyMatchesInverse).
+// kernels ring.NTT/INTT run — the strict Forward/Inverse in ntt.go remain
+// the spec-shaped oracle (and serve PolyMul and the Galois schedule
+// recovery), and both produce byte-identical canonical output (asserted
+// by TestForwardLazyMatchesForward / TestInverseLazyMatchesInverse).
 //
 // The forward direction is the classic Harvey formulation ("Faster
 // arithmetic for number-theoretic transforms"): with inputs in [0, 4q),

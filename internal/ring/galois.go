@@ -39,24 +39,8 @@ func (r *Ring) MulPermAdd(a *Poly, perm []int32, b, out *Poly) {
 	if !a.IsNTT || !b.IsNTT || !out.IsNTT {
 		panic("ring: MulPermAdd requires NTT domain")
 	}
-	if r.Backend().Specialized() {
-		r.Engine().Run(len(a.Coeffs), func(i int) {
-			mulPermAddRowFast(r.Basis.Moduli[i], a.Coeffs[i], perm, b.Coeffs[i], out.Coeffs[i])
-		})
-		return
-	}
 	r.Engine().Run(len(a.Coeffs), func(i int) {
-		m := r.Basis.Moduli[i]
-		ai, bi, oi := a.Coeffs[i], b.Coeffs[i], out.Coeffs[i]
-		if perm == nil {
-			for j := range oi {
-				oi[j] = m.Add(oi[j], m.Mul(ai[j], bi[j]))
-			}
-			return
-		}
-		for j := range oi {
-			oi[j] = m.Add(oi[j], m.Mul(ai[perm[j]], bi[j]))
-		}
+		mulPermAddRow(r.Basis.Moduli[i], a.Coeffs[i], perm, b.Coeffs[i], out.Coeffs[i])
 	})
 }
 

@@ -28,8 +28,7 @@ type Ring struct {
 	Basis  *rns.Basis
 	Tables []*ntt.Table // one per limb
 
-	eng     *lanes.Engine // nil ⇒ lanes.Default()
-	backend lanes.Backend // nil ⇒ lanes.DefaultBackend()
+	eng *lanes.Engine // nil ⇒ lanes.Default()
 }
 
 // NewRing constructs the ring of degree n (power of two) over the given
@@ -81,21 +80,6 @@ func (r *Ring) Engine() *lanes.Engine {
 	return lanes.Default()
 }
 
-// SetBackend binds the ring's limb kernels to b (nil restores the
-// process default). Like SetEngine, call before concurrent use; level
-// views created afterwards inherit it. Backends never change results —
-// any backend produces byte-identical polynomials — only the inner-loop
-// implementation the kernels run.
-func (r *Ring) SetBackend(b lanes.Backend) { r.backend = b }
-
-// Backend returns the backend limb kernels are bound to.
-func (r *Ring) Backend() lanes.Backend {
-	if r.backend != nil {
-		return r.backend
-	}
-	return lanes.DefaultBackend()
-}
-
 // AtLevel returns a view of the ring restricted to the first `level` limbs.
 // Tables and the lane engine are shared, and the sub-basis (with its CRT
 // and fast-combine tables) is memoized inside rns.Basis, so repeated views
@@ -106,12 +90,11 @@ func (r *Ring) AtLevel(level int) *Ring {
 		panic("ring: level out of range")
 	}
 	return &Ring{
-		N:       r.N,
-		LogN:    r.LogN,
-		Basis:   r.Basis.Sub(level),
-		Tables:  r.Tables[:level],
-		eng:     r.eng,
-		backend: r.backend,
+		N:      r.N,
+		LogN:   r.LogN,
+		Basis:  r.Basis.Sub(level),
+		Tables: r.Tables[:level],
+		eng:    r.eng,
 	}
 }
 
@@ -194,21 +177,16 @@ func (p *Poly) Level() int { return len(p.Coeffs) }
 
 // NTT transforms every limb to the evaluation domain in place, one limb
 // per lane (paper Fig. 3b: the PNL array runs per-limb NTTs concurrently).
-// The transform kernel is backend-bound: lazy-reduction butterflies on
-// the fast path, the strict reference otherwise — same bytes either way.
+// The transform kernel runs lazy-reduction butterflies and closes with
+// one canonical [0, q) pass, so its output equals the strict reference
+// ntt.Table.Forward.
 func (r *Ring) NTT(p *Poly) {
 	if p.IsNTT {
 		panic("ring: NTT on already-transformed poly")
 	}
-	if r.Backend().Specialized() {
-		r.Engine().Run(len(p.Coeffs), func(i int) {
-			r.Tables[i].ForwardLazy(p.Coeffs[i])
-		})
-	} else {
-		r.Engine().Run(len(p.Coeffs), func(i int) {
-			r.Tables[i].Forward(p.Coeffs[i])
-		})
-	}
+	r.Engine().Run(len(p.Coeffs), func(i int) {
+		r.Tables[i].ForwardLazy(p.Coeffs[i])
+	})
 	p.IsNTT = true
 }
 
@@ -217,15 +195,9 @@ func (r *Ring) INTT(p *Poly) {
 	if !p.IsNTT {
 		panic("ring: INTT on coefficient-domain poly")
 	}
-	if r.Backend().Specialized() {
-		r.Engine().Run(len(p.Coeffs), func(i int) {
-			r.Tables[i].InverseLazy(p.Coeffs[i])
-		})
-	} else {
-		r.Engine().Run(len(p.Coeffs), func(i int) {
-			r.Tables[i].Inverse(p.Coeffs[i])
-		})
-	}
+	r.Engine().Run(len(p.Coeffs), func(i int) {
+		r.Tables[i].InverseLazy(p.Coeffs[i])
+	})
 	p.IsNTT = false
 }
 
@@ -279,46 +251,23 @@ func (r *Ring) Neg(a, out *Poly) {
 // MulCoeffs sets out = a ⊙ b (pointwise). Both operands must be in the NTT
 // domain — pointwise products in the coefficient domain are not ring
 // products, and the panic guards against that misuse. The row kernel is
-// backend-bound (Barrett on the fast path, generic reduction otherwise).
+// a Barrett product (rows.go).
 func (r *Ring) MulCoeffs(a, b, out *Poly) {
 	r.checkCompat(a, b)
 	if !a.IsNTT {
 		panic("ring: MulCoeffs requires NTT domain")
 	}
-	if r.Backend().Specialized() {
-		r.Engine().Run(len(a.Coeffs), func(i int) {
-			mulRowFast(r.Basis.Moduli[i], a.Coeffs[i], b.Coeffs[i], out.Coeffs[i])
-		})
-		out.IsNTT = true
-		return
-	}
 	r.Engine().Run(len(a.Coeffs), func(i int) {
-		m := r.Basis.Moduli[i]
-		ai, bi, oi := a.Coeffs[i], b.Coeffs[i], out.Coeffs[i]
-		for j := range ai {
-			oi[j] = m.Mul(ai[j], bi[j])
-		}
+		mulRow(r.Basis.Moduli[i], a.Coeffs[i], b.Coeffs[i], out.Coeffs[i])
 	})
 	out.IsNTT = true
 }
 
 // MulScalar sets out = a · s for a word scalar s.
 func (r *Ring) MulScalar(a *Poly, s uint64, out *Poly) {
-	if r.Backend().Specialized() {
-		r.Engine().Run(len(a.Coeffs), func(i int) {
-			m := r.Basis.Moduli[i]
-			mulScalarRowFast(m, s%m.Q, a.Coeffs[i], out.Coeffs[i])
-		})
-		out.IsNTT = a.IsNTT
-		return
-	}
 	r.Engine().Run(len(a.Coeffs), func(i int) {
 		m := r.Basis.Moduli[i]
-		sc := s % m.Q
-		ai, oi := a.Coeffs[i], out.Coeffs[i]
-		for j := range ai {
-			oi[j] = m.Mul(ai[j], sc)
-		}
+		mulScalarRow(m, s%m.Q, a.Coeffs[i], out.Coeffs[i])
 	})
 	out.IsNTT = a.IsNTT
 }

@@ -1,20 +1,16 @@
 package ring
 
-// Backend-bound row kernels: the per-limb inner loops every pointwise
-// ring operation and the key-switch multiply-accumulate compile down to.
-// Each kernel exists in two bindings selected by the ring's
-// lanes.Backend —
+// Row kernels: the per-limb inner loops every pointwise ring operation
+// and the key-switch multiply-accumulate compile down to. They are
+// fixed-width Barrett loops (hoisted reduction constants, the 2^128/q
+// constant the 44-bit wire packing guarantees fits) with hoisted slice
+// headers and bounds-check-elimination reslices.
 //
-//   - portable: the spec-shaped reference (generic 128-bit reduction via
-//     mod.Modulus.Mul, one method call per element), and
-//   - fast: fixed-width Barrett inner loops (hoisted reduction constants,
-//     the 2^128/q constant the 44-bit wire packing guarantees fits) with
-//     hoisted slice headers and bounds-check-elimination reslices.
-//
-// Both bindings produce canonical [0, q) residues — Barrett and the
-// 128-bit division reduce to the same representative — so results are
-// byte-identical across backends; only the cycle count differs. The
-// key-switch pair kernels (MulAddPairRow / MulPairRow) fuse both
+// Every kernel produces canonical [0, q) residues — Barrett and the
+// generic 128-bit division of mod.Modulus.Mul reduce to the same
+// representative — so each must equal its spec-shaped reference loop in
+// rows_oracle_test.go.
+// The key-switch pair kernels (MulAddPairRow / MulPairRow) fuse both
 // ciphertext halves into one pass over the digit row, which is what the
 // fused hybrid pipeline in internal/ckks binds its QP MAC stage to.
 
@@ -45,8 +41,8 @@ func barrett(a, b, q, bhi, blo uint64) uint64 {
 	return r
 }
 
-// mulRowFast sets oi = ai ⊙ bi with Barrett reduction.
-func mulRowFast(m mod.Modulus, ai, bi, oi []uint64) {
+// mulRow sets oi = ai ⊙ bi with Barrett reduction.
+func mulRow(m mod.Modulus, ai, bi, oi []uint64) {
 	q, bhi, blo := m.Q, m.BHi, m.BLo
 	ai = ai[:len(oi)]
 	bi = bi[:len(oi)]
@@ -55,8 +51,8 @@ func mulRowFast(m mod.Modulus, ai, bi, oi []uint64) {
 	}
 }
 
-// mulScalarRowFast sets oi = ai · sc for a residue scalar sc < q.
-func mulScalarRowFast(m mod.Modulus, sc uint64, ai, oi []uint64) {
+// mulScalarRow sets oi = ai · sc for a residue scalar sc < q.
+func mulScalarRow(m mod.Modulus, sc uint64, ai, oi []uint64) {
 	q, bhi, blo := m.Q, m.BHi, m.BLo
 	ai = ai[:len(oi)]
 	for j := range oi {
@@ -64,9 +60,9 @@ func mulScalarRowFast(m mod.Modulus, sc uint64, ai, oi []uint64) {
 	}
 }
 
-// mulPermAddRowFast is the single-half permuted MAC row:
+// mulPermAddRow is the single-half permuted MAC row:
 // oi[j] += ai[perm[j]]·bi[j] (perm nil ⇒ identity), Barrett-reduced.
-func mulPermAddRowFast(m mod.Modulus, ai []uint64, perm []int32, bi, oi []uint64) {
+func mulPermAddRow(m mod.Modulus, ai []uint64, perm []int32, bi, oi []uint64) {
 	q, bhi, blo := m.Q, m.BHi, m.BLo
 	bi = bi[:len(oi)]
 	if perm == nil {
@@ -94,31 +90,12 @@ func mulPermAddRowFast(m mod.Modulus, ai []uint64, perm []int32, bi, oi []uint64
 //
 //	a0[j] += d[perm[j]]·k0[j],  a1[j] += d[perm[j]]·k1[j]
 //
-// (perm nil ⇒ identity), dispatching on the ring's backend. This is the
-// key-switch MAC kernel — element order and accumulation order match the
-// historical inner loop exactly, so staged and fused pipelines produce
-// the same bytes. The limb index addresses the ring's own basis.
+// (perm nil ⇒ identity). This is the key-switch MAC kernel — element
+// order and accumulation order are the same in the staged and fused
+// pipelines, so both produce the same bytes. The limb index addresses
+// the ring's own basis.
 func (r *Ring) MulAddPairRow(limb int, perm []int32, d, k0, k1, a0, a1 []uint64) {
 	m := r.Basis.Moduli[limb]
-	if r.Backend().Specialized() {
-		mulAddPairRowFast(m, perm, d, k0, k1, a0, a1)
-		return
-	}
-	if perm == nil {
-		for j := range a0 {
-			a0[j] = m.Add(a0[j], m.Mul(d[j], k0[j]))
-			a1[j] = m.Add(a1[j], m.Mul(d[j], k1[j]))
-		}
-		return
-	}
-	for j := range a0 {
-		dp := d[perm[j]]
-		a0[j] = m.Add(a0[j], m.Mul(dp, k0[j]))
-		a1[j] = m.Add(a1[j], m.Mul(dp, k1[j]))
-	}
-}
-
-func mulAddPairRowFast(m mod.Modulus, perm []int32, d, k0, k1, a0, a1 []uint64) {
 	q, bhi, blo := m.Q, m.BHi, m.BLo
 	k0 = k0[:len(a0)]
 	k1 = k1[:len(a0)]
@@ -162,40 +139,24 @@ func mulAddPairRowFast(m mod.Modulus, perm []int32, d, k0, k1, a0, a1 []uint64) 
 // d·k equals adding it to zero, so the bytes match a zeroed accumulator.
 func (r *Ring) MulPairRow(limb int, perm []int32, d, k0, k1, a0, a1 []uint64) {
 	m := r.Basis.Moduli[limb]
-	fast := r.Backend().Specialized()
 	q, bhi, blo := m.Q, m.BHi, m.BLo
 	k0 = k0[:len(a0)]
 	k1 = k1[:len(a0)]
 	a1 = a1[:len(a0)]
 	if perm == nil {
 		d = d[:len(a0)]
-		if fast {
-			for j := range a0 {
-				dj := d[j]
-				a0[j] = barrett(dj, k0[j], q, bhi, blo)
-				a1[j] = barrett(dj, k1[j], q, bhi, blo)
-			}
-			return
-		}
 		for j := range a0 {
-			a0[j] = m.Mul(d[j], k0[j])
-			a1[j] = m.Mul(d[j], k1[j])
-		}
-		return
-	}
-	perm = perm[:len(a0)]
-	if fast {
-		for j := range a0 {
-			dj := d[perm[j]]
+			dj := d[j]
 			a0[j] = barrett(dj, k0[j], q, bhi, blo)
 			a1[j] = barrett(dj, k1[j], q, bhi, blo)
 		}
 		return
 	}
+	perm = perm[:len(a0)]
 	for j := range a0 {
-		dp := d[perm[j]]
-		a0[j] = m.Mul(dp, k0[j])
-		a1[j] = m.Mul(dp, k1[j])
+		dj := d[perm[j]]
+		a0[j] = barrett(dj, k0[j], q, bhi, blo)
+		a1[j] = barrett(dj, k1[j], q, bhi, blo)
 	}
 }
 
@@ -203,18 +164,9 @@ func (r *Ring) MulPairRow(limb int, perm []int32, d, k0, k1, a0, a1 []uint64) {
 //
 //	oi[j] += (si[j] − ei[j]) · inv   (mod the limb prime)
 //
-// dispatching on the ring's backend. Both bindings use the same Barrett
-// product (the portable path always has — this kernel never used the
-// generic division), so the dispatch only buys the hoisted-constant,
-// bounds-check-free loop on the fast path.
+// as a hoisted-constant, bounds-check-free Barrett loop.
 func (r *Ring) SubMulAddRow(limb int, inv uint64, si, ei, oi []uint64) {
 	m := r.Basis.Moduli[limb]
-	if !r.Backend().Specialized() {
-		for j := range oi {
-			oi[j] = m.Add(oi[j], m.BarrettMul(m.Sub(si[j], ei[j]), inv))
-		}
-		return
-	}
 	q, bhi, blo := m.Q, m.BHi, m.BLo
 	si = si[:len(oi)]
 	ei = ei[:len(oi)]
@@ -231,21 +183,9 @@ func (r *Ring) SubMulAddRow(limb int, inv uint64, si, ei, oi []uint64) {
 	}
 }
 
-// ForwardLimb runs the limb-i forward NTT on a raw coefficient row
-// through the backend-bound kernel (lazy butterflies on the fast path).
-func (r *Ring) ForwardLimb(i int, row []uint64) {
-	if r.Backend().Specialized() {
-		r.Tables[i].ForwardLazy(row)
-		return
-	}
-	r.Tables[i].Forward(row)
-}
+// ForwardLimb runs the limb-i forward NTT on a raw coefficient row with
+// the lazy-reduction butterflies NTT uses.
+func (r *Ring) ForwardLimb(i int, row []uint64) { r.Tables[i].ForwardLazy(row) }
 
 // InverseLimb is ForwardLimb's inverse-transform sibling.
-func (r *Ring) InverseLimb(i int, row []uint64) {
-	if r.Backend().Specialized() {
-		r.Tables[i].InverseLazy(row)
-		return
-	}
-	r.Tables[i].Inverse(row)
-}
+func (r *Ring) InverseLimb(i int, row []uint64) { r.Tables[i].InverseLazy(row) }

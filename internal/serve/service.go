@@ -60,7 +60,7 @@ type Config struct {
 	// SpoolDir holds evicted key blobs ("" = a private temp dir,
 	// removed on Close).
 	SpoolDir string
-	// Options configure the underlying parties (backend, lane count).
+	// Options configure the underlying parties (lane count).
 	Options []abcfhe.Option
 	// Clock is injectable for tests (default time.Now).
 	Clock Clock

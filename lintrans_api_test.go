@@ -2,7 +2,7 @@ package abcfhe
 
 // Public-surface tests of the homomorphic linear-transform stack: BSGS
 // mat×vec pinned against the plaintext reference at every preset, the
-// key-owner/server rotation-set contract, backend×worker byte-identity of
+// key-owner/server rotation-set contract, worker-count byte-identity of
 // the BSGS path, the misuse matrix, and the PN15 CoeffsToSlots →
 // SlotsToCoeffs round trip with its pinned worst-slot precision floor.
 
@@ -224,11 +224,11 @@ func TestLinearTransformMisuse(t *testing.T) {
 	}
 }
 
-// ltBackendRun drives the BSGS and homomorphic-DFT paths under one
-// (backend, workers) configuration and returns every result's bytes.
-func ltBackendRun(t *testing.T, backend string, workers int) map[string][]byte {
+// ltWorkerRun drives the BSGS and homomorphic-DFT paths with `workers`
+// lanes and returns every result's bytes.
+func ltWorkerRun(t *testing.T, workers int) map[string][]byte {
 	t.Helper()
-	opts := []Option{WithWorkers(workers), WithBackend(backend)}
+	opts := []Option{WithWorkers(workers)}
 	owner, device, server := threeParties(t, Test, 0xB565, 0xB566, opts...)
 	defer owner.Close()
 	defer device.Close()
@@ -275,7 +275,7 @@ func ltBackendRun(t *testing.T, backend string, workers int) map[string][]byte {
 	record := func(name string, ct *Ciphertext, err error) {
 		t.Helper()
 		if err != nil {
-			t.Fatalf("%s (backend=%s workers=%d): %v", name, backend, workers, err)
+			t.Fatalf("%s (workers=%d): %v", name, workers, err)
 		}
 		blob, err := server.SerializeCiphertext(ct)
 		if err != nil {
@@ -295,36 +295,30 @@ func ltBackendRun(t *testing.T, backend string, workers int) map[string][]byte {
 }
 
 // TestLinearTransformBackendWorkerInvariance mirrors
-// TestBackendWorkerInvariance for the BSGS/DFT paths: portable/fast ×
-// worker counts 1, 2, 8 must all produce the portable single-worker
-// reference's bytes.
+// TestBackendWorkerInvariance for the BSGS/DFT paths: worker counts 2
+// and 8 must produce the single-worker reference's bytes.
 func TestLinearTransformBackendWorkerInvariance(t *testing.T) {
 	if testing.Short() {
-		t.Skip("sweeps 6 full transform pipelines")
+		t.Skip("sweeps 3 full transform pipelines")
 	}
-	ref := ltBackendRun(t, "portable", 1)
-	for _, backend := range []string{"portable", "fast"} {
-		for _, workers := range []int{1, 2, 8} {
-			if backend == "portable" && workers == 1 {
-				continue
-			}
-			got := ltBackendRun(t, backend, workers)
-			for name, want := range ref {
-				if !bytes.Equal(got[name], want) {
-					t.Fatalf("%s: bytes diverge under backend=%s workers=%d", name, backend, workers)
-				}
+	ref := ltWorkerRun(t, 1)
+	for _, workers := range []int{2, 8} {
+		got := ltWorkerRun(t, workers)
+		for name, want := range ref {
+			if !bytes.Equal(got[name], want) {
+				t.Fatalf("%s: bytes diverge under workers=%d", name, workers)
 			}
 		}
 	}
 }
 
-// pn15DFTRun executes the PN15 homomorphic-DFT round trip under one
-// (backend, workers) configuration: encrypt, CoeffsToSlots, check the
+// pn15DFTRun executes the PN15 homomorphic-DFT round trip with `workers`
+// lanes: encrypt, CoeffsToSlots, check the
 // coefficient extraction against the plaintext IFFT, SlotsToCoeffs,
 // return the three result blobs and the round-trip worst-slot error.
-func pn15DFTRun(t *testing.T, backend string, workers int) (blobs map[string][]byte, roundTripErr float64) {
+func pn15DFTRun(t *testing.T, workers int) (blobs map[string][]byte, roundTripErr float64) {
 	t.Helper()
-	opts := []Option{WithWorkers(workers), WithBackend(backend)}
+	opts := []Option{WithWorkers(workers)}
 	owner, device, server := threeParties(t, PN15, 0x9F15, 0x9F16, opts...)
 	defer owner.Close()
 	defer device.Close()
@@ -382,8 +376,8 @@ func pn15DFTRun(t *testing.T, backend string, workers int) (blobs map[string][]b
 // TestPN15HomomorphicDFTRoundTrip is the CI gate of the tentpole: at the
 // paper-scale PN15 preset, CoeffsToSlots → SlotsToCoeffs must restore the
 // message with at least pn15DFTFloorBits bits of worst-slot precision,
-// and the whole pipeline must be byte-identical across backends and
-// worker counts (portable/1 vs fast/8).
+// and the whole pipeline must be byte-identical across worker counts (1
+// vs 8).
 func TestPN15HomomorphicDFTRoundTrip(t *testing.T) {
 	if testing.Short() {
 		t.Skip("paper-scale preset round trip")
@@ -393,20 +387,20 @@ func TestPN15HomomorphicDFTRoundTrip(t *testing.T) {
 	// key-switch noise path all show up here first.
 	const pn15DFTFloorBits = 38.0
 
-	ref, errPortable := pn15DFTRun(t, "portable", 1)
-	bits := -math.Log2(errPortable)
-	t.Logf("PN15 C2S→S2C worst-slot error %.3g (%.1f bits)", errPortable, bits)
+	ref, errSerial := pn15DFTRun(t, 1)
+	bits := -math.Log2(errSerial)
+	t.Logf("PN15 C2S→S2C worst-slot error %.3g (%.1f bits)", errSerial, bits)
 	if bits < pn15DFTFloorBits {
 		t.Fatalf("round-trip precision %.1f bits, floor %g", bits, pn15DFTFloorBits)
 	}
 
-	got, errFast := pn15DFTRun(t, "fast", 8)
-	if errFast != errPortable {
-		t.Fatalf("round-trip error differs across backends: %g vs %g", errFast, errPortable)
+	got, errParallel := pn15DFTRun(t, 8)
+	if errParallel != errSerial {
+		t.Fatalf("round-trip error differs across worker counts: %g vs %g", errParallel, errSerial)
 	}
 	for name, want := range ref {
 		if !bytes.Equal(got[name], want) {
-			t.Fatalf("%s: bytes diverge between portable/1 and fast/8", name)
+			t.Fatalf("%s: bytes diverge between workers 1 and 8", name)
 		}
 	}
 }
